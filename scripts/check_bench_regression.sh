@@ -9,9 +9,7 @@
 #
 #   * the open-loop batch-1 row must not fall below ABCAST_BENCH_MIN_RATIO
 #     (default 0.5) of the committed batch-1 throughput — the slack absorbs
-#     the quick sweep's smaller totals, not a protocol regression;
-#   * the window sweep must still show pipelining: the window=16 cell must
-#     beat the window=1 cell by at least 2x (the full-run gap is ~10x).
+#     the quick sweep's smaller totals, not a protocol regression.
 #
 # Virtual-time measurements are deterministic per seed, so a breach is a
 # real behavior change, not machine noise.
@@ -86,17 +84,6 @@ if cur < floor:
     sys.exit(
         f"REGRESSION: batch-1 throughput {cur:.1f} msgs/s fell below "
         f"{ratio} x committed baseline ({base:.1f} msgs/s)"
-    )
-
-w1 = throughput(current_path, "throughput_window_sweep", window=1)
-w16 = throughput(current_path, "throughput_window_sweep", window=16)
-if w1 is None or w16 is None:
-    sys.exit(f"{current_path}: window sweep rows (window=1, window=16) missing")
-print(f"window sweep: alpha=1 {w1:.1f} msgs/s, alpha=16 {w16:.1f} msgs/s")
-if w16 < 2.0 * w1:
-    sys.exit(
-        f"REGRESSION: pipelining gain collapsed (alpha=16 {w16:.1f} < "
-        f"2 x alpha=1 {w1:.1f})"
     )
 print("bench regression guard: OK")
 PYEOF

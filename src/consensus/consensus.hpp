@@ -95,14 +95,8 @@ class ConsensusService {
   virtual bool proposed(InstanceId k) const = 0;
 
   /// True when a decision for `k` is locally known — a cheap probe (no
-  /// value copy) the pipelined proposer uses to skip window slots whose
-  /// outcome is already fixed.
+  /// value copy), e.g. to measure how many decides park above a gap.
   virtual bool decided(InstanceId k) const = 0;
-
-  /// The value this process durably proposed to `k`, or nullptr. Recovery
-  /// of the pipelining window decodes still-undecided proposals from here
-  /// to rebuild its in-flight bookkeeping (see DESIGN.md §14).
-  virtual const Bytes* proposal_of(InstanceId k) const = 0;
 
   /// Pushes locally-known decisions for instances in [from_k, from_k+max)
   /// to `to`. Used by the upper layer when gossip reveals a lagging peer:

@@ -64,6 +64,7 @@ void CoordEngine::engine_start(bool recovering) {
       note_corrupt_record();
       quarantine_instance(k);
       instances_.erase(k);
+      forget_instance(k);
       storage_.erase(key);
     }
   }
@@ -151,8 +152,9 @@ void CoordEngine::coordinate(InstanceId k, Instance& inst) {
 
 void CoordEngine::engine_tick() {
   const TimePoint now = env_.now();
-  for (auto& [k, inst] : instances_) {
-    if (has_decision(k) || !inst.active) continue;
+  for_each_undecided([this, now](InstanceId k) {
+    Instance& inst = instances_.at(k);
+    if (!inst.active) return;
     const ProcessId coord = coord_of(inst.round);
     if (coord == env_.self()) {
       coordinate(k, inst);
@@ -183,7 +185,7 @@ void CoordEngine::engine_tick() {
         advance_round(k, inst);
       }
     }
-  }
+  });
 }
 
 void CoordEngine::engine_decided(InstanceId k) {

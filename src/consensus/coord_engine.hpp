@@ -66,7 +66,11 @@ class CoordEngine final : public EngineBase {
     return static_cast<ProcessId>(round % env_.group_size());
   }
 
-  Instance& instance(InstanceId k) { return instances_[k]; }
+  Instance& instance(InstanceId k) {
+    auto [it, inserted] = instances_.try_emplace(k);
+    if (inserted) note_instance(k);
+    return it->second;
+  }
   void persist(InstanceId k, const Instance& inst);
   void send_estimate(InstanceId k, Instance& inst);
   void enter_round(InstanceId k, Instance& inst, std::uint64_t round);

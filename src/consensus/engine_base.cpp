@@ -125,7 +125,8 @@ void EngineBase::propose(InstanceId k, const Bytes& value) {
     // First proposal for k: log it before any other action, so the same
     // value is re-proposed after any crash (paper §4.3).
     storage_.put(consensus_keys::inst_key("prop", k), seal_record(value));
-    trace(obs::EventKind::kPropose, k, crc32(value));
+    // The CRC is only a trace argument; skip it when nothing records.
+    if (tracer_ != nullptr) trace(obs::EventKind::kPropose, k, crc32(value));
     it = proposals_.emplace(k, value).first;
     metrics_.proposals += 1;
     if (!has_decision(k)) adjust_inflight(1);
@@ -141,11 +142,6 @@ std::optional<Bytes> EngineBase::decision(InstanceId k) {
   return it->second;
 }
 
-const Bytes* EngineBase::proposal_of(InstanceId k) const {
-  auto it = proposals_.find(k);
-  return it == proposals_.end() ? nullptr : &it->second;
-}
-
 void EngineBase::learn_decision(InstanceId k, const Bytes& value,
                                 bool i_decided) {
   if (k < low_water_) return;  // already applied and truncated
@@ -153,9 +149,12 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
   // Log before announcing: Uniform Agreement must hold even if we crash
   // immediately after the callback runs.
   storage_.put(consensus_keys::inst_key("dec", k), seal_record(value));
-  trace(obs::EventKind::kDecide, k, crc32(value),
-        i_decided ? "local" : "learned");
+  if (tracer_ != nullptr) {
+    trace(obs::EventKind::kDecide, k, crc32(value),
+          i_decided ? "local" : "learned");
+  }
   decisions_.emplace(k, value);
+  undecided_.erase(k);
   if (proposals_.count(k) != 0) adjust_inflight(-1);
   quarantined_.erase(k);  // the outcome is known; amnesia no longer matters
   if (i_decided) {
@@ -256,6 +255,7 @@ void EngineBase::truncate_below(InstanceId k) {
   erase_below(decisions_, "dec");
   retransmit_.erase(retransmit_.begin(), retransmit_.lower_bound(k));
   quarantined_.erase(quarantined_.begin(), quarantined_.lower_bound(k));
+  undecided_.erase(undecided_.begin(), undecided_.lower_bound(k));
   engine_truncate(k);
 }
 

@@ -23,7 +23,6 @@ class EngineBase : public ConsensusService {
   void set_decided_callback(DecidedCallback cb) final { decided_cb_ = std::move(cb); }
   bool proposed(InstanceId k) const final { return proposals_.count(k) != 0; }
   bool decided(InstanceId k) const final { return decisions_.count(k) != 0; }
-  const Bytes* proposal_of(InstanceId k) const final;
   void offer_decisions(ProcessId to, InstanceId from_k,
                        std::uint32_t max) final;
   void truncate_below(InstanceId k) final;
@@ -73,6 +72,26 @@ class EngineBase : public ConsensusService {
   void learn_decision(InstanceId k, const Bytes& value, bool i_decided);
 
   bool has_decision(InstanceId k) const { return decisions_.count(k) != 0; }
+
+  /// Undecided instances the concrete engine holds state for, in id order —
+  /// what engine_tick drives, so a tick costs the open instances, not the
+  /// whole history. The engine reports each instance it creates
+  /// (note_instance) or discards (forget_instance); decisions and
+  /// truncation leave the set here.
+  void note_instance(InstanceId k) {
+    if (!has_decision(k)) undecided_.insert(k);
+  }
+  void forget_instance(InstanceId k) { undecided_.erase(k); }
+  /// Calls `f(k)` for every undecided instance in ascending order. Re-seeks
+  /// after each call, so `f` may decide or open instances.
+  template <class F>
+  void for_each_undecided(F&& f) {
+    for (auto it = undecided_.begin(); it != undecided_.end();) {
+      const InstanceId k = *it;
+      f(k);
+      it = undecided_.upper_bound(k);
+    }
+  }
   const std::map<InstanceId, Bytes>& proposals() const { return proposals_; }
 
   /// Amnesia containment. An engine that finds its private acceptor record
@@ -116,7 +135,8 @@ class EngineBase : public ConsensusService {
 
   void tick();
   /// Tracks the proposed-but-undecided instance count and mirrors it into
-  /// the cons_inflight gauge — the live consensus pipelining depth.
+  /// the cons_inflight gauge: 0 or 1 for the sequential proposer, more only
+  /// while recovery resumes several logged-but-undecided proposals.
   void adjust_inflight(std::int64_t by) {
     inflight_ += by;
     if (inflight_gauge_ != nullptr) inflight_gauge_->set(inflight_);
@@ -135,6 +155,7 @@ class EngineBase : public ConsensusService {
   std::map<InstanceId, Bytes> decisions_;
   std::map<InstanceId, Retransmit> retransmit_;
   std::set<InstanceId> quarantined_;
+  std::set<InstanceId> undecided_;  // see note_instance
   InstanceId low_water_ = 0;
   std::int64_t inflight_ = 0;             // proposed ∧ undecided instances
   obs::Gauge* inflight_gauge_ = nullptr;  // registry-owned; may be null

@@ -41,7 +41,9 @@ ProcessId PaxosEngine::ballot_owner(Ballot b) const {
 }
 
 PaxosEngine::Instance& PaxosEngine::instance(InstanceId k) {
-  return instances_[k];
+  auto [it, inserted] = instances_.try_emplace(k);
+  if (inserted) note_instance(k);
+  return it->second;
 }
 
 void PaxosEngine::persist_acceptor(InstanceId k, const Instance& inst) {
@@ -88,6 +90,7 @@ void PaxosEngine::engine_start(bool recovering) {
       note_corrupt_record();
       quarantine_instance(k);
       instances_.erase(k);
+      forget_instance(k);
       storage_.erase(key);
     }
   }
@@ -155,9 +158,7 @@ void PaxosEngine::drive(InstanceId k, Instance& inst) {
 }
 
 void PaxosEngine::engine_tick() {
-  for (auto& [k, inst] : instances_) {
-    if (!has_decision(k)) drive(k, inst);
-  }
+  for_each_undecided([this](InstanceId k) { drive(k, instances_.at(k)); });
 }
 
 void PaxosEngine::engine_decided(InstanceId k) {

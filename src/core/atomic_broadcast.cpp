@@ -65,8 +65,6 @@ void AtomicBroadcast::bind_metrics() {
                       &metrics_.gossip_suppressed);
   metrics_group_.bind("ab_proposal_cache_hits", labels,
                       &metrics_.proposal_cache_hits);
-  metrics_group_.bind("ab_proposals_event_triggered", labels,
-                      &metrics_.proposals_event_triggered);
   metrics_group_.bind("ab_state_sent", labels, &metrics_.state_sent);
   metrics_group_.bind("ab_state_sent_trimmed", labels,
                       &metrics_.state_sent_trimmed);
@@ -185,7 +183,6 @@ void AtomicBroadcast::start(bool recovering, std::uint64_t incarnation) {
     drain();
     metrics_.replayed_rounds = k_ - k_before;
     prune_unordered();
-    if (options_.pipeline_window > 1) rebuild_window_state();
   }
 
   gossip_tick();
@@ -279,134 +276,40 @@ void AtomicBroadcast::prune_unordered() {
   }
 }
 
-void AtomicBroadcast::maybe_propose(Trigger trigger) {
-  if (options_.pipeline_window == 1) {
-    // Paper Fig. 2, sequencer task: start round k only with something to
-    // propose or when gossip revealed we lag (then even an empty proposal
-    // is fine — the decision is already locked without our input).
-    if (cons_.proposed(k_)) return;
-    if (unordered_.empty() && gossip_k_ <= k_) return;
-    if (!proposal_cache_valid_) {
-      // Encode straight off the map — it already iterates in MsgId order,
-      // the deterministic batch order — and keep the bytes until unordered_
-      // next changes: consecutive rounds proposing the same backlog (common
-      // while peers catch up) reuse the encoding instead of re-serializing
-      // it. A max_proposal_msgs cap takes the MsgId-ordered prefix; the
-      // capped encoding still depends only on unordered_'s contents, so the
-      // cache invalidation rule is unchanged.
-      std::size_t limit = unordered_.size();
-      if (options_.max_proposal_msgs != 0) {
-        limit = std::min(limit, options_.max_proposal_msgs);
-      }
-      BufWriter w;
-      w.u32(checked_u32(limit));
-      std::size_t taken = 0;
-      for (const auto& [id, m] : unordered_) {
-        if (taken == limit) break;
-        m.encode(w);
-        taken += 1;
-      }
-      proposal_cache_ = std::move(w).take();
-      proposal_cache_valid_ = true;
-    } else {
-      metrics_.proposal_cache_hits += 1;
+void AtomicBroadcast::maybe_propose() {
+  // Paper Fig. 2, sequencer task: start round k only with something to
+  // propose or when gossip revealed we lag (then even an empty proposal
+  // is fine — the decision is already locked without our input).
+  if (cons_.proposed(k_)) return;
+  if (unordered_.empty() && gossip_k_ <= k_) return;
+  if (!proposal_cache_valid_) {
+    // Encode straight off the map — it already iterates in MsgId order,
+    // the deterministic batch order — and keep the bytes until unordered_
+    // next changes: consecutive rounds proposing the same backlog (common
+    // while peers catch up) reuse the encoding instead of re-serializing
+    // it. A max_proposal_msgs cap takes the MsgId-ordered prefix; the
+    // capped encoding still depends only on unordered_'s contents, so the
+    // cache invalidation rule is unchanged.
+    std::size_t limit = unordered_.size();
+    if (options_.max_proposal_msgs != 0) {
+      limit = std::min(limit, options_.max_proposal_msgs);
     }
-    metrics_.proposals += 1;
-    if (unordered_.empty()) metrics_.empty_proposals += 1;
-    if (trigger == Trigger::kEvent) metrics_.proposals_event_triggered += 1;
-    cons_.propose(k_, proposal_cache_);
-    return;
-  }
-  // Pipelined sequencer: up to α rounds may be in flight. Slots fill in
-  // ascending order, so the set of proposed instances stays contiguous from
-  // k_ and the recovery scan in rebuild_window_state can stop at the first
-  // gap.
-  gc_window_slots();
-  for (std::uint64_t j = k_; j < k_ + options_.pipeline_window; ++j) {
-    if (cons_.proposed(j) || cons_.decided(j)) continue;
-    propose_window_slot(j, trigger);
-  }
-}
-
-void AtomicBroadcast::propose_window_slot(std::uint64_t j, Trigger trigger) {
-  // One MsgId-ordered walk builds the slot's batch AND classifies content:
-  // every message an in-flight slot already carries rides along cap-free,
-  // new messages fill the remaining max_proposal_msgs budget. The riders
-  // are what keeps each proposal prefix-closed per (sender, incarnation)
-  // above our agreed frontier: no single decided value can then skip over a
-  // still-pending predecessor, no matter which slots' proposals win which
-  // rounds (DESIGN.md §14 has the induction).
-  const std::size_t cap = options_.max_proposal_msgs;
-  std::vector<const AppMsg*> batch;
-  std::vector<MsgId> fresh;
-  for (const auto& [id, m] : unordered_) {
-    if (inflight_.count(id) != 0) {
-      batch.push_back(&m);
-      continue;
+    BufWriter w;
+    w.u32(checked_u32(limit));
+    std::size_t taken = 0;
+    for (const auto& [id, m] : unordered_) {
+      if (taken == limit) break;
+      m.encode(w);
+      taken += 1;
     }
-    if (cap != 0 && fresh.size() >= cap) continue;
-    batch.push_back(&m);
-    fresh.push_back(id);
+    proposal_cache_ = std::move(w).take();
+    proposal_cache_valid_ = true;
+  } else {
+    metrics_.proposal_cache_hits += 1;
   }
-  if (j == k_) {
-    // Head slot: today's rule. Propose whenever anything is pending, or
-    // when gossip revealed we lag (empty proposals are safe there — the
-    // decision is locked without our input).
-    if (batch.empty() && gossip_k_ <= k_) return;
-  } else if (j >= gossip_k_) {
-    // Slots past the head open only for genuinely new content — otherwise
-    // consecutive slots would carry identical rider-only batches and burn
-    // rounds. Event trigger: open when the new portion fills the batch
-    // budget (any new message, with unbounded batches). Timer trigger (the
-    // gossip tick): flush a partial batch so a trickle workload still
-    // pipelines.
-    if (fresh.empty()) return;
-    const bool full = cap == 0 || fresh.size() >= cap;
-    if (!full && trigger != Trigger::kTimer) return;
-  }
-  // else j < gossip_k_: some peer already finished round j, so its outcome
-  // is fixed — propose (even empty) to drive our instance to the decision.
-  BufWriter w;
-  w.u32(checked_u32(batch.size()));
-  for (const AppMsg* m : batch) m->encode(w);
   metrics_.proposals += 1;
-  if (batch.empty()) metrics_.empty_proposals += 1;
-  if (trigger == Trigger::kEvent) metrics_.proposals_event_triggered += 1;
-  for (const MsgId& id : fresh) inflight_.insert(id);
-  if (!fresh.empty()) slot_new_[j] = std::move(fresh);
-  cons_.propose(j, std::move(w).take());
-}
-
-void AtomicBroadcast::gc_window_slots() {
-  // The commit gate passed these slots: whatever they first proposed is
-  // either delivered (their value won) or back to being plain new content
-  // (a competing value won) — in both cases it leaves the in-flight set.
-  while (!slot_new_.empty() && slot_new_.begin()->first < k_) {
-    for (const MsgId& id : slot_new_.begin()->second) inflight_.erase(id);
-    slot_new_.erase(slot_new_.begin());
-  }
-}
-
-void AtomicBroadcast::rebuild_window_state() {
-  // Recovery: re-derive which pending messages a logged-but-undecided
-  // proposal already carries. Slots propose in ascending order, so walking
-  // up from k_ and attributing each message to the first proposal holding
-  // it reproduces the pre-crash bookkeeping; the scan stops at the first
-  // never-proposed slot (the proposed set is contiguous from k_).
-  for (std::uint64_t j = k_;; ++j) {
-    const Bytes* prop = cons_.proposal_of(j);
-    if (prop == nullptr) break;
-    if (cons_.decided(j)) continue;  // outcome fixed; applies via drain
-    std::vector<MsgId> fresh;
-    try {
-      for (const auto& m : decode_batch(*prop)) {
-        if (inflight_.insert(m.id).second) fresh.push_back(m.id);
-      }
-    } catch (const CodecError&) {
-      // Defensive: consensus recovery already discarded torn proposals.
-    }
-    if (!fresh.empty()) slot_new_[j] = std::move(fresh);
-  }
+  if (unordered_.empty()) metrics_.empty_proposals += 1;
+  cons_.propose(k_, proposal_cache_);
 }
 
 void AtomicBroadcast::on_decided(InstanceId k, const Bytes& value) {
@@ -536,12 +439,6 @@ void AtomicBroadcast::gossip_tick() {
     gossip_dirty_ = false;
   } else {
     metrics_.gossip_suppressed += 1;
-  }
-  if (options_.pipeline_window > 1) {
-    // Timer leg of event-driven proposing: flush partial batches into open
-    // window slots so a trickle workload still pipelines instead of waiting
-    // for the batch budget to fill.
-    maybe_propose(Trigger::kTimer);
   }
   env_.schedule_after(options_.gossip_period, [this] { gossip_tick(); });
 }

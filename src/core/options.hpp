@@ -107,17 +107,6 @@ struct Options {
   /// because the batch takes a prefix of the MsgId-ordered backlog.
   std::size_t max_proposal_msgs = 0;
 
-  /// Number of Consensus rounds that may be in flight concurrently (the
-  /// pipelining window α). 1 reproduces the paper's sequential protocol:
-  /// round k must decide before k+1 is proposed. With α > 1 the process
-  /// proposes rounds k..k+α-1 before k decides; delivery stays gated on the
-  /// contiguous decided prefix, so out-of-order decides park in the
-  /// per-instance decision log until the gap closes (see DESIGN.md §14).
-  /// Slots beyond k carry the union of every in-flight proposal plus new
-  /// messages, which keeps each proposal prefix-closed per sender and makes
-  /// the window safe under competing proposers and supersession.
-  std::uint64_t pipeline_window = 1;
-
   // ---- §5.5: incremental logging -----------------------------------------
   /// When logging Unordered, write only the new message instead of the
   /// whole set (one small record per message, erased once ordered).
@@ -158,9 +147,6 @@ struct Options {
     ABCAST_CHECK_MSG(max_delta_bytes >= 256,
                      "max_delta_bytes must fit the digest header plus at "
                      "least one small message");
-    ABCAST_CHECK_MSG(pipeline_window >= 1,
-                     "pipeline_window must be at least 1 (1 = sequential "
-                     "rounds, the paper's protocol)");
     ABCAST_CHECK_MSG(max_state_bytes >= 256,
                      "max_state_bytes must fit the chunk header plus at "
                      "least one small message");

@@ -453,7 +453,8 @@ void UdpHost::loop() {
         std::lock_guard<std::mutex> lock(mu_);
         if (stop_) return;
         if (tasks_.empty() || tasks_.top().due > now()) break;
-        task = tasks_.top();
+        // Moving the callback out leaves due/seq intact for pop().
+        task = std::move(const_cast<Task&>(tasks_.top()));
         tasks_.pop();
         if (task.incarnation != 0) {
           if (task.incarnation != incarnation_) continue;

@@ -56,6 +56,7 @@ TimerId RtHost::schedule_after(Duration delay, std::function<void()> fn) {
   t.only_if_up = true;
   t.fn = std::move(fn);
   const TimerId id = t.seq;
+  live_timers_.insert(id);
   tasks_.push(std::move(t));
   cv_.notify_all();
   return id;
@@ -63,7 +64,14 @@ TimerId RtHost::schedule_after(Duration delay, std::function<void()> fn) {
 
 void RtHost::cancel_timer(TimerId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  cancelled_.push_back(id);
+  // Cancel-after-fire (or of a previous incarnation's timer) finds nothing
+  // to erase, so it leaves no tombstone behind.
+  live_timers_.erase(id);
+}
+
+std::size_t RtHost::pending_timer_entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return live_timers_.size();
 }
 
 void RtHost::send(ProcessId to, const Wire& msg) {
@@ -161,7 +169,7 @@ void RtHost::crash_node() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       incarnation_ += 1;  // pending timers become stale
-      cancelled_.clear();
+      live_timers_.clear();
     }
     done.set_value();
   };
@@ -182,20 +190,14 @@ void RtHost::loop() {
       cv_.wait_for(lock, std::chrono::nanoseconds(due - current));
       continue;
     }
-    Task task = tasks_.top();
+    // Moving the callback out leaves due/seq intact, so pop() still finds
+    // the heap consistent.
+    Task task = std::move(const_cast<Task&>(tasks_.top()));
     tasks_.pop();
     // Timer bookkeeping: skip cancelled or stale-incarnation timers.
     if (task.incarnation != 0) {
       if (task.incarnation != incarnation_) continue;
-      bool was_cancelled = false;
-      for (auto it = cancelled_.begin(); it != cancelled_.end(); ++it) {
-        if (*it == task.seq) {
-          cancelled_.erase(it);
-          was_cancelled = true;
-          break;
-        }
-      }
-      if (was_cancelled) continue;
+      if (live_timers_.erase(task.seq) == 0) continue;  // cancelled
       if (node_ == nullptr) continue;
     }
     lock.unlock();

@@ -24,6 +24,7 @@
 #include <queue>
 #include <thread>
 #include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -89,6 +90,11 @@ class RtHost final : public Env {
 
   bool is_up() const { return up_.load(); }
 
+  /// Timer bookkeeping entries currently held (outstanding timers of the
+  /// live incarnation). Exposed so a test can pin that cancel-after-fire
+  /// does not leak.
+  std::size_t pending_timer_entries() const;
+
   /// The hosted protocol stack. Host-thread only: call this exclusively
   /// from inside a call()/post() body (where it is guaranteed non-null for
   /// call()). Cast to the concrete NodeApp type the factory produces.
@@ -127,15 +133,15 @@ class RtHost final : public Env {
   std::unique_ptr<obs::TraceRecorder> recorder_;    // survives crashes
   std::unique_ptr<TracingStorage> tracing_storage_;  // wraps storage_
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
   std::priority_queue<Task, std::vector<Task>, std::greater<>> tasks_;
   std::uint64_t next_seq_ = 1;
   // Bumped on crash so pending timers go stale. Starts at 1: a task whose
   // incarnation field is 0 is a network delivery, not a timer.
   std::uint64_t incarnation_ = 1;
-  std::uint64_t cancelled_floor_seq_ = 0;
-  std::vector<std::uint64_t> cancelled_;
+  /// Ids of scheduled timers that have neither fired nor been cancelled.
+  std::unordered_set<std::uint64_t> live_timers_;
   bool stop_ = false;
 
   std::atomic<bool> up_{false};

@@ -136,21 +136,7 @@ struct Installer {
   void operator()(const LoadClause&) const {
     // Load clauses are driven by LoadDriver, not scheduled here.
   }
-
-  void operator()(const WinClause&) const {
-    // Configuration, not a timed fault: pipeline_window is applied to the
-    // cluster config before start (like skew); see run_scenario.
-  }
 };
-
-/// The pipelining window a scenario requests (win(a=N) clause), default 1.
-std::uint64_t scenario_window(const Scenario& s) {
-  std::uint64_t alpha = 1;
-  for (const auto& clause : s.clauses) {
-    if (const auto* w = std::get_if<WinClause>(&clause)) alpha = w->alpha;
-  }
-  return alpha;
-}
 
 std::uint64_t fnv1a_order(const std::vector<MsgId>& order) {
   std::uint64_t h = 1469598103934665603ull;
@@ -190,7 +176,6 @@ RunResult run_sharded_scenario(const Scenario& s, const RunOptions& opts) {
     cfg.node.stack.ab.digest_gossip = true;
     cfg.node.stack.ab.suppress_idle_gossip = true;
   }
-  cfg.node.stack.ab.pipeline_window = scenario_window(s);
   const std::size_t max_state_bytes = cfg.node.stack.ab.max_state_bytes;
 
   group::ShardedCluster c(cfg);
@@ -354,7 +339,6 @@ RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
     cfg.stack.ab.digest_gossip = true;
     cfg.stack.ab.suppress_idle_gossip = true;
   }
-  cfg.stack.ab.pipeline_window = scenario_window(s);
 
   harness::Cluster c(cfg);
   auto* sim = &c.sim();

@@ -1,8 +1,7 @@
 // Group-commit segmented-log stable storage (ROADMAP item 3, DESIGN.md §16).
 //
 // FileStableStorage pays one tmp-file + fsync + rename + dir-fsync per log
-// operation — the measured floor once pipelining keeps α proposal logs in
-// flight. This backend replaces the file-per-record layout with an
+// operation. This backend replaces the file-per-record layout with an
 // append-only segmented log: every put/erase appends one checksummed sealed
 // record to the current segment, and durability is a *sync point* that can
 // be shared by many records:
@@ -18,8 +17,8 @@
 //                            I/O barrier (before releasing outbound
 //                            datagrams / completing an A-broadcast), which
 //                            coalesces one fdatasync across every record the
-//                            event-loop pass appended — the α in-flight
-//                            proposal-log writes of a pipelined pass;
+//                            event-loop pass appended (proposal,
+//                            acceptor and decision records alike);
 //   * SyncMode::kNone      — no syncing (benchmarks, simulator backends).
 //
 // The full record map is also kept in memory (like MemStableStorage), so
