@@ -81,7 +81,10 @@ void PaxosEngine::engine_start(bool recovering) {
     }
     bool ok = false;
     if (auto rec = storage_.get(key)) {
-      ok = load_acceptor(k, instance(k), *rec);
+      Instance& inst = instance(k);
+      ok = load_acceptor(k, inst, *rec);
+      // A decided instance's value lives in the decision log.
+      if (ok && has_decision(k)) inst.accepted_value = Bytes();
     }
     if (!ok) {
       // The acceptor record was torn: promises/acceptances durably made for
@@ -96,7 +99,7 @@ void PaxosEngine::engine_start(bool recovering) {
   }
 }
 
-void PaxosEngine::engine_propose(InstanceId k, const Bytes& value) {
+void PaxosEngine::engine_propose(InstanceId k, const Bytes& /*value*/) {
   // Proposing on a quarantined instance is NOT safe even though proposer
   // state is volatile: ballot uniqueness across our own crashes rests on
   // the self-promise stored in the (torn, discarded) acceptor record.
@@ -105,8 +108,8 @@ void PaxosEngine::engine_propose(InstanceId k, const Bytes& value) {
   if (is_quarantined(k)) return;
   Instance& inst = instance(k);
   if (inst.proposing) return;
+  // The value is proposals().at(k); the promise handler reads it there.
   inst.proposing = true;
-  inst.proposal = value;
   inst.idle_since = env_.now();
   drive(k, inst);
 }
@@ -162,12 +165,28 @@ void PaxosEngine::engine_tick() {
 }
 
 void PaxosEngine::engine_decided(InstanceId k) {
-  // Drop proposer volatile state; keep acceptor fields (harmless, and
-  // late PREPARE/ACCEPT messages still get correct answers).
+  // Drop every value copy: decisions_ holds the outcome, and
+  // EngineBase::on_message answers all later traffic about k with it, so
+  // neither the proposer nor the acceptor side is consulted again. The
+  // ballots stay (they are a few bytes). learn_decision may have been
+  // handed inst.pushing by reference; it no longer reads it by now.
   Instance& inst = instance(k);
   inst.phase = Phase::kIdle;
   inst.promises.clear();
   inst.accepts.clear();
+  inst.pushing = Bytes();  // move-assigned so the buffers are freed
+  inst.accepted_value = Bytes();
+}
+
+std::size_t PaxosEngine::retained_value_bytes() const {
+  std::size_t total = 0;
+  for (const auto& [k, inst] : instances_) {
+    total += inst.pushing.capacity() + inst.accepted_value.capacity();
+    for (const auto& [p, info] : inst.promises) {
+      total += info.accepted_value.capacity();
+    }
+  }
+  return total;
 }
 
 void PaxosEngine::engine_truncate(InstanceId k) {
@@ -207,7 +226,7 @@ void PaxosEngine::engine_message(ProcessId from, const Wire& msg) {
       // Choose the accepted value of the highest accepted ballot, else our
       // own proposal — the Synod value-selection rule.
       Ballot best = 0;
-      const Bytes* value = &inst.proposal;
+      const Bytes* value = &proposals().at(m.k);
       for (const auto& [p, info] : inst.promises) {
         if (info.accepted_ballot > best) {
           best = info.accepted_ballot;

@@ -30,6 +30,11 @@ class PaxosEngine final : public EngineBase {
     return type >= MsgType::kPaxosPrepare && type <= MsgType::kPaxosDecidedAck;
   }
 
+  /// Value bytes held in per-instance state (values being pushed, accepted
+  /// values, values carried by promises), beyond the proposal and decision
+  /// logs. Decided instances hold none. Regression hook for value retention.
+  std::size_t retained_value_bytes() const;
+
  protected:
   void engine_start(bool recovering) override;
   void engine_propose(InstanceId k, const Bytes& value) override;
@@ -50,8 +55,7 @@ class PaxosEngine final : public EngineBase {
 
   struct Instance {
     // Proposer side (volatile).
-    bool proposing = false;  // we hold a proposal (ours or taken over)
-    Bytes proposal;
+    bool proposing = false;  // proposals().at(k) is ours to drive
     Phase phase = Phase::kIdle;
     Ballot ballot = 0;          // ballot we are driving
     Ballot ballot_floor = 0;    // next ballot must exceed this (from nacks)

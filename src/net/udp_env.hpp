@@ -7,23 +7,21 @@
 // backoff, fill ticks) that the simulator exercised against injected loss
 // here covers genuine kernel-buffer drops and datagram loss.
 //
-// Structure mirrors the rt runtime: one event-loop thread per host,
-// poll()-driven with the timer queue's next deadline as the poll timeout.
+// The host is a host::HostLoop (one event-loop thread, timers,
+// crash/recover) whose transport is one nonblocking socket the loop polls.
 // Datagrams are framed as [u32 sender pid][Wire]; anything malformed or
 // from an unknown peer is dropped (CodecError can never propagate past the
 // loop — unreliable transport semantics).
 //
-// Batched I/O (DESIGN.md §16): with UdpBatchConfig::enabled the host
-// coalesces syscalls at both ends of the hot path. Outbound frames queue on
-// a loop-thread-only send queue and are flushed with sendmmsg() once per
-// event-loop pass — each mmsghdr carries its own destination, so one
-// syscall covers every recipient of a multisend plus everything else the
-// pass produced. Inbound, recvmmsg() drains up to recv_batch datagrams per
-// syscall into a preallocated buffer ring feeding the same decode path.
-// The flush point doubles as the storage durability barrier: each pass runs
-// storage().flush() BEFORE releasing queued datagrams, so a deferred-sync
+// send()/multisend() only queue frames (a multisend queues one refcounted
+// frame per peer over a single encode). The loop's end-of-pass barrier
+// runs storage().flush() BEFORE the queue is released, so a deferred-sync
 // backend (SegmentedLogStorage) is externally indistinguishable from a
-// synchronous one — classic group commit.
+// synchronous one — classic group commit (DESIGN.md §16). The release
+// issues one sendto() per datagram, or with UdpBatchConfig::enabled one
+// sendmmsg() per send_batch datagrams, each mmsghdr carrying its own
+// destination. Inbound, batching drains up to recv_batch datagrams per
+// recvmmsg() into a preallocated buffer ring feeding the same decode path.
 //
 // Limitations (documented, inherent to UDP): a datagram larger than the
 // ~64 KB UDP limit cannot be sent and is silently dropped, so deployments
@@ -31,23 +29,15 @@
 // state transfer to keep state messages small.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <queue>
 #include <string>
-#include <thread>
-#include <tuple>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/relaxed_counter.hpp"
-#include "common/rng.hpp"
-#include "env/env.hpp"
+#include "host/host_loop.hpp"
 #include "obs/metrics.hpp"
 #include "storage/mem_storage.hpp"
 
@@ -105,7 +95,7 @@ struct UdpConfig {
   obs::MetricsRegistry* registry = nullptr;
 };
 
-class UdpHost final : public Env {
+class UdpHost final : public host::HostLoop {
  public:
   /// Binds a socket to peers[config.self] (port 0 = ephemeral; see
   /// local_port()) — or adopts config.prebound_fd — and starts the event
@@ -114,38 +104,14 @@ class UdpHost final : public Env {
   ~UdpHost() override;
 
   // Env (called from the event-loop thread only)
-  ProcessId self() const override { return config_.self; }
-  std::uint32_t group_size() const override {
-    return static_cast<std::uint32_t>(config_.peers.size());
-  }
-  TimePoint now() const override;
-  TimerId schedule_after(Duration delay, std::function<void()> fn) override;
-  void cancel_timer(TimerId id) override;
   void send(ProcessId to, const Wire& msg) override;
-  /// Frames the datagram once ([u32 self][Wire]) and sends it to every
-  /// peer — one encode per multisend instead of one per recipient. Under
-  /// batching the copies are queue entries sharing one refcounted frame.
+  /// Frames the datagram once ([u32 self][Wire]) and queues it for every
+  /// peer — one encode per multisend instead of one per recipient; the
+  /// queue entries share one refcounted frame.
   void multisend(const Wire& msg) override;
-  StableStorage& storage() override { return *storage_; }
-  Rng& rng() override { return rng_; }
-  obs::MetricsRegistry* metrics_registry() override {
-    return config_.registry;
-  }
 
-  // ---- lifecycle (external threads) --------------------------------------
-  /// Constructs the protocol stack via `factory` and starts it.
-  void start_node(const NodeFactory& factory, bool recovering);
-  /// Crash: destroys the stack (volatile state dies); the socket stays
-  /// open but arriving datagrams are dropped, like the paper's model.
-  void crash_node();
-
-  /// Runs `fn` on the event-loop thread and waits; false if down.
-  bool call(const std::function<void()>& fn);
-
-  bool is_up() const { return up_.load(); }
   /// The actually bound port (useful when configured with port 0).
   std::uint16_t local_port() const { return local_port_; }
-  NodeApp* node_unsafe() { return node_.get(); }
 
   /// Datagrams that failed to send (e.g. oversized) — observability for
   /// the UDP size limitation.
@@ -154,81 +120,41 @@ class UdpHost final : public Env {
   }
   const NetMetrics& net_metrics() const { return metrics_; }
 
-  /// Timer-table entries currently alive (scheduled and neither fired nor
-  /// cancelled). Regression hook for the cancelled-timer leak: stays
-  /// bounded by the number of OUTSTANDING timers no matter how many
-  /// cancel/fire cycles have run.
-  std::size_t pending_timer_entries() const;
-
-  void shutdown();
-
  private:
-  struct Task {
-    TimePoint due = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t incarnation = 0;  // 0 = not incarnation-bound
-    std::function<void()> fn;
-
-    bool operator>(const Task& o) const {
-      return std::tie(due, seq) > std::tie(o.due, o.seq);
-    }
-  };
-
-  /// One queued outbound datagram (batched mode). The frame is refcounted:
-  /// a multisend queues group_size() entries over a single encode.
+  /// One queued outbound datagram.
   struct PendingSend {
     ProcessId to = 0;
     SharedBytes frame;
   };
 
-  void loop();
-  void drain_socket();
+  int input_fd() const override { return fd_; }
+  void drain_input() override;
+  void release_output() override;
+  void discard_output() override { send_queue_.clear(); }
+
   void drain_socket_batched();
   void handle_datagram(const std::uint8_t* data, std::size_t size);
-  /// The per-pass I/O barrier: storage flush first (durability), THEN the
-  /// queued datagrams (visibility). No-ops when batching is off except for
-  /// the storage flush, which deferred-sync backends always need.
-  void flush_io();
-  void flush_send_queue();
-  void wake();
+  void send_queue_batched();
   Bytes make_frame(const Wire& msg) const;
-  void send_frame(ProcessId to, const Bytes& frame);
   void queue_frame(ProcessId to, const SharedBytes& frame);
   void fill_dest(ProcessId to, sockaddr_in* addr) const;
 
   UdpConfig config_;
-  Rng rng_;
-  std::unique_ptr<StableStorage> storage_;
   int fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  // self-pipe to interrupt poll()
   std::uint16_t local_port_ = 0;
   std::vector<std::pair<std::uint32_t, std::uint16_t>> peer_addrs_;
-  std::chrono::steady_clock::time_point epoch_;
 
-  mutable std::mutex mu_;
-  std::priority_queue<Task, std::vector<Task>, std::greater<>> tasks_;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t incarnation_ = 1;
-  /// Incarnation-bound timers scheduled but not yet fired or cancelled.
-  /// cancel_timer erases; the pop path fires only ids still present. This
-  /// replaces the old grow-only cancelled-ids list, whose entries leaked
-  /// whenever a timer fired (or died with its incarnation) after cancel.
-  std::unordered_set<std::uint64_t> live_timers_;
-  bool stop_ = false;
-
-  std::atomic<bool> up_{false};
   NetMetrics metrics_;
   obs::MetricsGroup metrics_group_;
-  std::unique_ptr<NodeApp> node_;  // event-loop thread only
 
-  // Batched-I/O state, event-loop thread only (Env serializes callbacks).
+  // Event-loop thread only (Env serializes callbacks).
   std::vector<PendingSend> send_queue_;
-  std::vector<Bytes> recv_ring_;  // recv_batch preallocated datagram buffers
+  // Batched-I/O state: recv_batch preallocated datagram buffers and the
+  // syscall headers, sized once.
+  std::vector<Bytes> recv_ring_;
   std::vector<mmsghdr> send_hdrs_, recv_hdrs_;
   std::vector<iovec> send_iovs_, recv_iovs_;
   std::vector<sockaddr_in> send_addrs_, recv_addrs_;
-
-  std::thread thread_;  // declared last: joins before members die
 };
 
 /// Convenience for tests and demos: builds n hosts on ephemeral localhost

@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "consensus/consensus.hpp"
+#include "consensus/paxos_engine.hpp"
 #include "fd/failure_detector.hpp"
 #include "sim/simulation.hpp"
 #include "storage/mem_storage.hpp"
@@ -373,4 +374,29 @@ TEST_P(EngineTest, CoordinatorOrLeaderPartitionedAwayMidInstance) {
   c.sim.heal_partition();
   ASSERT_TRUE(c.await_decision(0, {0}, seconds(120)));
   EXPECT_EQ(*c.cons(0).decision(0), d);
+}
+
+// A decided value lives in the decision log. The Paxos engine's
+// per-instance state must hold no further copy of it, neither after
+// deciding nor after recovering from the acceptor log: under the basic
+// protocol nothing truncates, so each copy would stay for the life of the
+// process.
+TEST(PaxosEngine, DecidedInstancesRetainNoValueBytes) {
+  ConsCluster c({.n = 3, .seed = 8}, ConsensusKind::kPaxos);
+  const auto retained = [&c](ProcessId p) {
+    return dynamic_cast<PaxosEngine&>(c.cons(p)).retained_value_bytes();
+  };
+  constexpr InstanceId kInstances = 8;
+  for (InstanceId k = 0; k < kInstances; ++k) {
+    c.cons(0).propose(k, Bytes(1024, static_cast<std::uint8_t>(k)));
+  }
+  for (InstanceId k = 0; k < kInstances; ++k) {
+    ASSERT_TRUE(c.await_decision(k, {0, 1, 2}));
+  }
+  for (ProcessId p = 0; p < 3; ++p) EXPECT_EQ(retained(p), 0u) << "p" << p;
+  for (ProcessId p = 0; p < 3; ++p) {
+    c.sim.crash(p);
+    c.sim.recover(p);
+    EXPECT_EQ(retained(p), 0u) << "p" << p << " after recovery";
+  }
 }
