@@ -268,11 +268,11 @@ void CoordEngine::engine_message(ProcessId from, const Wire& msg) {
       catch_up(m.k, inst, m.round);
       // Adopt, log, *then* acknowledge — the log-before-ack order is what
       // lets a majority of acks imply a durable majority lock on the value.
-      const bool already = inst.has_est && inst.ts == m.round;
+      const bool already = inst.has_est && inst.ts == m.round + 1;
       if (!already) {
         inst.has_est = true;
         inst.est = m.value;
-        inst.ts = m.round;
+        inst.ts = m.round + 1;
         inst.active = true;
         persist(m.k, inst);
       }

@@ -48,7 +48,10 @@ class CoordEngine final : public EngineBase {
     std::uint64_t round = 0;
     bool has_est = false;
     Bytes est;
-    std::uint64_t ts = 0;  // round in which est was adopted (0 = initial)
+    // 0 = an initial estimate; r + 1 = est was adopted (locked) from round
+    // r's coordinator. Round 0 must not share 0 with initial estimates, or
+    // a round-0 lock would lose the max-ts choice to any proposal.
+    std::uint64_t ts = 0;
 
     // Volatile.
     bool active = false;           // participating (proposed or adopted)

@@ -97,9 +97,12 @@ void EngineBase::start(bool recovering) {
     }
   }
   metrics_.proposals = proposals_.size();
-  for (const auto& [k, v] : proposals_) {
-    (void)v;
-    if (!has_decision(k)) adjust_inflight(1);
+  for (auto& [k, v] : proposals_) {
+    if (has_decision(k)) {
+      v = Bytes();  // the decision supersedes it (see learn_decision)
+    } else {
+      adjust_inflight(1);
+    }
   }
 
   engine_start(recovering);
@@ -147,41 +150,61 @@ void EngineBase::learn_decision(InstanceId k, const Bytes& value,
   if (k < low_water_) return;  // already applied and truncated
   if (has_decision(k)) return;
   // Log before announcing: Uniform Agreement must hold even if we crash
-  // immediately after the callback runs.
+  // immediately after the callback runs (the host releases the DECIDED
+  // copies below only after the log is flushed).
   storage_.put(consensus_keys::inst_key("dec", k), seal_record(value));
   if (tracer_ != nullptr) {
     trace(obs::EventKind::kDecide, k, crc32(value),
           i_decided ? "local" : "learned");
   }
-  decisions_.emplace(k, value);
+  // `value` may alias engine state that engine_decided frees; from here on
+  // only the logged copy is read.
+  const Bytes& decided = decisions_.emplace(k, value).first->second;
   undecided_.erase(k);
-  if (proposals_.count(k) != 0) adjust_inflight(-1);
+  if (auto it = proposals_.find(k); it != proposals_.end()) {
+    adjust_inflight(-1);
+    // Only undecided instances read a proposal's value (Paxos promises,
+    // re-proposal on recovery); keep the key for proposed().
+    it->second = Bytes();
+  }
   quarantined_.erase(k);  // the outcome is known; amnesia no longer matters
+  // The entry gates repair copies for retransmit_initial (copy_in_flight).
+  // A learner's entry has no peers: the decider is disseminating.
+  Retransmit& rt = retransmit_[k];
+  rt.interval = config_.retransmit_initial;
+  rt.next_at = env_.now() + rt.interval;
   if (i_decided) {
     metrics_.decided_local += 1;
-    // We produced this decision; disseminate it until every peer acks.
-    Retransmit rt;
+    // We produced this decision: send it to every peer now, then
+    // retransmit with backoff until each one acks.
+    const auto wire = make_wire(decided_type_, DecidedMsg{k, decided});
     for (ProcessId p = 0; p < env_.group_size(); ++p) {
-      if (p != env_.self()) rt.unacked.insert(p);
+      if (p == env_.self()) continue;
+      rt.unacked.insert(p);
+      env_.send(p, wire);
     }
-    rt.next_at = env_.now();
-    rt.interval = config_.retransmit_initial;
-    if (!rt.unacked.empty()) retransmit_.emplace(k, std::move(rt));
   } else {
     metrics_.decided_learned += 1;
   }
   engine_decided(k);
-  if (decided_cb_) decided_cb_(k, decisions_.at(k));
+  if (decided_cb_) decided_cb_(k, decided);
+}
+
+bool EngineBase::copy_in_flight(InstanceId k) const {
+  auto it = retransmit_.find(k);
+  if (it == retransmit_.end()) return false;
+  const TimePoint last_sent = it->second.next_at - it->second.interval;
+  return env_.now() - last_sent < config_.retransmit_initial;
 }
 
 void EngineBase::on_message(ProcessId from, const Wire& msg) {
   if (msg.type == ack_type_) {
     const auto m = decode_from_bytes<DecidedAckMsg>(msg.payload);
+    // An entry every peer acked stays until its next retransmission would
+    // be due, so copy_in_flight still gates replies to late traffic; the
+    // tick drops it then.
     auto it = retransmit_.find(m.k);
-    if (it != retransmit_.end()) {
-      it->second.unacked.erase(from);
-      if (it->second.unacked.empty()) retransmit_.erase(it);
-    }
+    if (it != retransmit_.end()) it->second.unacked.erase(from);
     return;
   }
   if (msg.type == decided_type_) {
@@ -202,8 +225,11 @@ void EngineBase::on_message(ProcessId from, const Wire& msg) {
     return;
   }
   if (auto it = decisions_.find(k); it != decisions_.end()) {
-    // Any traffic about a decided instance means the sender has not learned
-    // the outcome; short-circuit the whole protocol with the decision.
+    // Any traffic about a decided instance means the sender had not learned
+    // the outcome when it sent; short-circuit the whole protocol with the
+    // decision — unless the sender is us, or a copy is still in flight to
+    // it (a retransmission repairs its loss).
+    if (from == env_.self() || copy_in_flight(k)) return;
     env_.send(from, make_wire(decided_type_, DecidedMsg{k, it->second}));
     return;
   }
@@ -219,15 +245,23 @@ void EngineBase::on_message(ProcessId from, const Wire& msg) {
   engine_message(from, msg);
 }
 
+std::size_t EngineBase::proposal_value_bytes() const {
+  std::size_t total = 0;
+  for (const auto& [k, v] : proposals_) total += v.capacity();
+  return total;
+}
+
 void EngineBase::quarantine_instance(InstanceId k) {
   if (quarantined_.insert(k).second) metrics_.quarantined += 1;
 }
 
 void EngineBase::offer_decisions(ProcessId to, InstanceId from_k,
                                  std::uint32_t max) {
+  if (to == env_.self()) return;
   auto it = decisions_.lower_bound(std::max<InstanceId>(from_k, low_water_));
-  for (std::uint32_t sent = 0; it != decisions_.end() && sent < max;
-       ++it, ++sent) {
+  for (std::uint32_t offered = 0; it != decisions_.end() && offered < max;
+       ++it, ++offered) {
+    if (copy_in_flight(it->first)) continue;  // see on_message
     env_.send(to, make_wire(decided_type_, DecidedMsg{it->first, it->second}));
   }
 }
@@ -263,12 +297,21 @@ void EngineBase::tick() {
   engine_tick();
 
   const TimePoint now = env_.now();
-  for (auto& [k, rt] : retransmit_) {
-    if (now < rt.next_at) continue;
-    const auto wire = make_wire(decided_type_, DecidedMsg{k, decisions_.at(k)});
-    for (const ProcessId p : rt.unacked) env_.send(p, wire);
-    rt.interval = std::min(rt.interval * 2, config_.retransmit_max);
-    rt.next_at = now + rt.interval;
+  for (auto it = retransmit_.begin(); it != retransmit_.end();) {
+    const InstanceId k = it->first;
+    Retransmit& rt = it->second;
+    if (now < rt.next_at) {
+      ++it;
+    } else if (rt.unacked.empty()) {
+      it = retransmit_.erase(it);
+    } else {
+      const auto wire =
+          make_wire(decided_type_, DecidedMsg{k, decisions_.at(k)});
+      for (const ProcessId p : rt.unacked) env_.send(p, wire);
+      rt.interval = std::min(rt.interval * 2, config_.retransmit_max);
+      rt.next_at = now + rt.interval;
+      ++it;
+    }
   }
 
   env_.schedule_after(config_.tick_period, [this] { tick(); });

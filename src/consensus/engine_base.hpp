@@ -35,6 +35,11 @@ class EngineBase : public ConsensusService {
   const StorageStats& storage_stats() const final { return storage_.stats(); }
   const ConsensusMetrics& metrics() const final { return metrics_; }
 
+  /// Value bytes held in the proposal map. A decided instance keeps only
+  /// its key (the decision log holds the outcome). Regression hook for
+  /// value retention under the basic protocol, where nothing truncates.
+  std::size_t proposal_value_bytes() const;
+
  protected:
   /// `decided_type`/`ack_type` are the engine-specific MsgTypes used for the
   /// shared decision-dissemination sub-protocol.
@@ -66,9 +71,9 @@ class EngineBase : public ConsensusService {
   }
 
   // ---- services for the concrete engine ---------------------------------
-  /// Records a decision (idempotent): logs it, fires the callback, starts
-  /// retransmitting to peers when `i_decided` (we produced the decision
-  /// rather than learning it).
+  /// Records a decision (idempotent): logs it, fires the callback and, when
+  /// `i_decided` (we produced the decision rather than learning it), sends
+  /// it to every peer at once and retransmits until each one acks.
   void learn_decision(InstanceId k, const Bytes& value, bool i_decided);
 
   bool has_decision(InstanceId k) const { return decisions_.count(k) != 0; }
@@ -127,6 +132,11 @@ class EngineBase : public ConsensusService {
 
  private:
   void bind_metrics();
+  /// DECIDED dissemination of one fresh decision. `unacked` holds the peers
+  /// still owed a copy when this process decided (empty when it learned the
+  /// decision); the last copy left, or the decision was learned, at
+  /// next_at - interval. The tick drops the entry once nothing is unacked
+  /// and next_at has passed.
   struct Retransmit {
     std::set<ProcessId> unacked;
     TimePoint next_at = 0;
@@ -134,6 +144,13 @@ class EngineBase : public ConsensusService {
   };
 
   void tick();
+  /// True while a DECIDED copy of `k` is in flight to every peer lacking
+  /// it: our last copy left less than retransmit_initial ago or, at a
+  /// learner, the decision arrived that recently (the decider's copies are
+  /// out). Repair paths then send no second copy; the decider's
+  /// retransmission covers a loss, and a peer still lagging after the gate
+  /// keeps sending traffic that is answered then.
+  bool copy_in_flight(InstanceId k) const;
   /// Tracks the proposed-but-undecided instance count and mirrors it into
   /// the cons_inflight gauge: 0 or 1 for the sequential proposer, more only
   /// while recovery resumes several logged-but-undecided proposals.

@@ -21,6 +21,13 @@ namespace {
 
 constexpr std::size_t kMaxDatagram = 64 * 1024;
 
+/// The length make_frame gives `msg`: sender pid, type, payload length and
+/// payload.
+std::size_t frame_size(const Wire& msg) {
+  return sizeof(std::uint32_t) + sizeof(std::uint16_t) +
+         sizeof(std::uint32_t) + msg.payload.size();
+}
+
 int make_udp_socket(const std::string& host, std::uint16_t port,
                     std::uint16_t* bound_port) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
@@ -138,17 +145,41 @@ void UdpHost::queue_frame(ProcessId to, const SharedBytes& frame) {
   send_queue_.push_back(PendingSend{to, frame});
 }
 
+void UdpHost::queue_self(const Wire& msg, std::size_t frame_bytes) {
+  // Held to the datagram limit like any other frame, so a message is
+  // dropped or delivered the same whoever it is addressed to.
+  if (frame_bytes > kMaxDatagram) {
+    metrics_.send_failures += 1;
+    return;
+  }
+  self_queue_.push_back(msg);
+}
+
 void UdpHost::send(ProcessId to, const Wire& msg) {
   ABCAST_CHECK(to < peer_addrs_.size());
-  queue_frame(to, SharedBytes(make_frame(msg)));
+  if (to == self()) {
+    queue_self(msg, frame_size(msg));
+  } else {
+    queue_frame(to, SharedBytes(make_frame(msg)));
+  }
 }
 
 void UdpHost::multisend(const Wire& msg) {
   const SharedBytes frame(make_frame(msg));  // one encode for all recipients
-  for (ProcessId to = 0; to < group_size(); ++to) queue_frame(to, frame);
+  for (ProcessId to = 0; to < group_size(); ++to) {
+    if (to == self()) {
+      queue_self(msg, frame.size());
+    } else {
+      queue_frame(to, frame);
+    }
+  }
 }
 
 void UdpHost::release_output() {
+  // Self-addressed messages never touch the socket: they become loop tasks
+  // due now, handled after this barrier like any received datagram.
+  for (Wire& msg : self_queue_) deliver_at(now(), self(), std::move(msg));
+  self_queue_.clear();
   if (send_queue_.empty()) return;
   if (config_.batch.enabled) {
     send_queue_batched();

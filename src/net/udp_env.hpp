@@ -14,7 +14,9 @@
 // loop — unreliable transport semantics).
 //
 // send()/multisend() only queue frames (a multisend queues one refcounted
-// frame per peer over a single encode). The loop's end-of-pass barrier
+// frame per peer over a single encode). A message addressed to this process
+// skips the kernel: it is queued as a Wire and, at release, handed back to
+// the loop as a task due now. The loop's end-of-pass barrier
 // runs storage().flush() BEFORE the queue is released, so a deferred-sync
 // backend (SegmentedLogStorage) is externally indistinguishable from a
 // synchronous one — classic group commit (DESIGN.md §16). The release
@@ -130,13 +132,19 @@ class UdpHost final : public host::HostLoop {
   int input_fd() const override { return fd_; }
   void drain_input() override;
   void release_output() override;
-  void discard_output() override { send_queue_.clear(); }
+  void discard_output() override {
+    send_queue_.clear();
+    self_queue_.clear();
+  }
 
   void drain_socket_batched();
   void handle_datagram(const std::uint8_t* data, std::size_t size);
   void send_queue_batched();
   Bytes make_frame(const Wire& msg) const;
   void queue_frame(ProcessId to, const SharedBytes& frame);
+  /// Queues a message to this process; `frame_bytes` is the datagram it
+  /// would have been.
+  void queue_self(const Wire& msg, std::size_t frame_bytes);
   void fill_dest(ProcessId to, sockaddr_in* addr) const;
 
   UdpConfig config_;
@@ -149,6 +157,7 @@ class UdpHost final : public host::HostLoop {
 
   // Event-loop thread only (Env serializes callbacks).
   std::vector<PendingSend> send_queue_;
+  std::vector<Wire> self_queue_;
   // Batched-I/O state: recv_batch preallocated datagram buffers and the
   // syscall headers, sized once.
   std::vector<Bytes> recv_ring_;

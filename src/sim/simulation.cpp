@@ -316,7 +316,8 @@ void Simulation::transmit(ProcessId from, ProcessId to, const Wire& msg,
     return;
   }
 
-  if (rng_.chance(net.drop_prob)) {
+  if (drop_next_.erase({from, to, msg.type}) != 0 ||
+      rng_.chance(net.drop_prob)) {
     net_stats_.dropped_channel += 1;
     return;
   }

@@ -18,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -234,6 +235,12 @@ class Simulation {
   void block_link(ProcessId a, ProcessId b);
   void unblock_link(ProcessId a, ProcessId b);
 
+  /// Drops the next datagram of `type` sent from `a` to `b`: one chosen
+  /// channel loss, for tests that need exactly that message to vanish.
+  void drop_next(ProcessId a, ProcessId b, MsgType type) {
+    drop_next_.insert({a, b, type});
+  }
+
   /// Partitions the group into {members} vs the rest. The default blocks
   /// both directions across the cut; the asymmetric modes block only one
   /// (see PartitionMode). heal_partition removes ALL blocks; use
@@ -311,6 +318,7 @@ class Simulation {
   NodeFactory factory_;
   std::vector<std::unique_ptr<SimHost>> hosts_;
   std::set<std::pair<ProcessId, ProcessId>> blocked_links_;
+  std::set<std::tuple<ProcessId, ProcessId, MsgType>> drop_next_;
   NetStats net_stats_;
 };
 

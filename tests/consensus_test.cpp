@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "consensus/consensus.hpp"
+#include "consensus/engine_base.hpp"
 #include "consensus/paxos_engine.hpp"
 #include "fd/failure_detector.hpp"
 #include "sim/simulation.hpp"
@@ -29,9 +30,10 @@ struct Observed {
 
 class ConsNode final : public NodeApp {
  public:
-  ConsNode(Env& env, ConsensusKind kind, Observed& obs)
+  ConsNode(Env& env, ConsensusKind kind, Observed& obs,
+           ConsensusConfig config)
       : fd_(env, FdConfig{}),
-        cons_(make_consensus(kind, env, fd_)),
+        cons_(make_consensus(kind, env, fd_, config)),
         obs_(obs) {
     cons_->set_decided_callback([this](InstanceId k, const Bytes& v) {
       obs_.decisions.emplace_back(k, v);
@@ -62,10 +64,11 @@ class ConsNode final : public NodeApp {
 };
 
 struct ConsCluster {
-  ConsCluster(SimConfig cfg, ConsensusKind kind)
+  ConsCluster(SimConfig cfg, ConsensusKind kind, ConsensusConfig config = {})
       : sim(cfg), observed(cfg.n) {
-    sim.set_node_factory([this, kind](Env& env) {
-      return std::make_unique<ConsNode>(env, kind, observed[env.self()]);
+    sim.set_node_factory([this, kind, config](Env& env) {
+      return std::make_unique<ConsNode>(env, kind, observed[env.self()],
+                                        config);
     });
     sim.start_all();
   }
@@ -92,6 +95,11 @@ struct ConsCluster {
 };
 
 class EngineTest : public ::testing::TestWithParam<ConsensusKind> {};
+
+MsgType decided_type(ConsensusKind kind) {
+  return kind == ConsensusKind::kPaxos ? MsgType::kPaxosDecided
+                                       : MsgType::kCoordDecide;
+}
 
 }  // namespace
 
@@ -334,6 +342,89 @@ TEST_P(EngineTest, MetricsAccount) {
   EXPECT_GE(c.cons(0).storage_stats().put_ops, 2u);  // proposal + decision
 }
 
+// The decider sends DECIDED in the pass that logs the decision: no process
+// waits for a driver tick to learn it.
+TEST_P(EngineTest, DecisionLeavesWithoutWaitingForATick) {
+  SimConfig cfg{.n = 3, .seed = 18};
+  cfg.net.delay_min = millis(1);
+  cfg.net.delay_max = millis(3);
+  ConsensusConfig cc;
+  cc.tick_period = seconds(10);
+  cc.retransmit_initial = seconds(10);
+  ConsCluster c(cfg, GetParam(), cc);
+  for (ProcessId p = 0; p < 3; ++p) {
+    c.cons(p).propose(0, val("v" + std::to_string(p)));
+  }
+  ASSERT_TRUE(c.await_decision(0, {0, 1, 2}, millis(20)));
+  const Bytes d = *c.cons(0).decision(0);
+  for (ProcessId p = 1; p < 3; ++p) EXPECT_EQ(*c.cons(p).decision(0), d);
+}
+
+// Without loss every peer acks the first copy, so repair paths (replies to
+// late protocol traffic) add none: one DECIDED per peer per instance, and
+// none to the decider itself.
+TEST_P(EngineTest, OneDecidedCopyPerPeerWithoutLoss) {
+  constexpr InstanceId kInstances = 50;
+  ConsCluster c({.n = 3, .seed = 19}, GetParam());
+  for (InstanceId k = 0; k < kInstances; ++k) {
+    c.cons(0).propose(k, val("i" + std::to_string(k)));
+    ASSERT_TRUE(c.await_decision(k, {0, 1, 2})) << "instance " << k;
+  }
+  c.sim.run_for(seconds(2));  // late traffic and retransmission timers
+  EXPECT_LE(c.sim.net_stats().sent_of(decided_type(GetParam())),
+            kInstances * (c.sim.n() - 1));
+}
+
+// The decider's copy to p2 is lost, and p2's own late traffic about the
+// instance reaches the decider while the lost copy is still counted as in
+// flight, so the reply path stays quiet. The retransmission repairs the
+// loss within retransmit_initial (plus tick granularity and link delay).
+TEST_P(EngineTest, LostDecidedCopyIsRepairedWithinTheRetransmitGate) {
+  SimConfig cfg{.n = 3, .seed = 20};
+  cfg.net.delay_min = millis(5);
+  cfg.net.delay_max = millis(5);
+  ConsensusConfig cc;
+  cc.tick_period = millis(5);
+  ConsCluster c(cfg, GetParam(), cc);
+  // p2 hears everything 3x late (15 ms), so it is never in the deciding
+  // quorum and its reply (Accepted, ack) arrives after the decision.
+  c.sim.set_rx_delay_factor(2, 3.0);
+  c.sim.run_for(millis(300));  // detectors settle
+  c.sim.drop_next(0, 2, decided_type(GetParam()));
+  c.cons(0).propose(0, val("x"));
+  ASSERT_TRUE(c.sim.run_until_pred([&] { return c.cons(0).decided(0); },
+                                   c.sim.now() + seconds(5)));
+  const Duration link_delay = millis(15);
+  ASSERT_TRUE(c.await_decision(
+      0, {2}, cc.retransmit_initial + cc.tick_period + link_delay));
+  EXPECT_EQ(*c.cons(2).decision(0), val("x"));
+  EXPECT_GE(c.sim.net_stats().dropped_channel, 1u);
+}
+
+// Under the basic protocol nothing truncates, so a decided instance's
+// proposal must not keep its value: the decision log holds the outcome.
+TEST_P(EngineTest, DecidedProposalsRetainNoValueBytes) {
+  ConsCluster c({.n = 3, .seed = 21}, GetParam());
+  const auto proposal_bytes = [&c](ProcessId p) {
+    return dynamic_cast<EngineBase&>(c.cons(p)).proposal_value_bytes();
+  };
+  constexpr InstanceId kInstances = 8;
+  for (InstanceId k = 0; k < kInstances; ++k) {
+    c.cons(0).propose(k, Bytes(1024, static_cast<std::uint8_t>(k)));
+  }
+  for (InstanceId k = 0; k < kInstances; ++k) {
+    ASSERT_TRUE(c.await_decision(k, {0, 1, 2}));
+  }
+  for (ProcessId p = 0; p < 3; ++p) {
+    EXPECT_EQ(proposal_bytes(p), 0u) << "p" << p;
+  }
+  EXPECT_TRUE(c.cons(0).proposed(kInstances - 1));  // the key stays
+  c.sim.crash(0);
+  c.sim.recover(0);
+  EXPECT_EQ(proposal_bytes(0), 0u) << "after recovery";
+  EXPECT_TRUE(c.cons(0).proposed(0));
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, EngineTest,
                          ::testing::Values(ConsensusKind::kPaxos,
                                            ConsensusKind::kCoord),
@@ -399,4 +490,30 @@ TEST(PaxosEngine, DecidedInstancesRetainNoValueBytes) {
     c.sim.recover(p);
     EXPECT_EQ(retained(p), 0u) << "p" << p << " after recovery";
   }
+}
+
+// A round-0 ack locks the coordinator's value exactly like a later round's.
+// Here p0 coordinates round 0 with estimates {p0: A, p1: B}, picks B and
+// decides on the acks of p0 and p2 — while p2 still holds the estimate A
+// it adopted first. p0 then dies with its DECIDED copies lost, and p1
+// coordinates round 1 from {p1, p2}. When a round-0 lock carried the same
+// timestamp as an initial estimate, p1 could pick p2's A: two decisions.
+TEST(CoordEngine, RoundZeroLockOutranksInitialEstimates) {
+  SimConfig cfg{.n = 3, .seed = 22};
+  cfg.net.delay_min = millis(5);
+  cfg.net.delay_max = millis(5);
+  ConsCluster c(cfg, ConsensusKind::kCoord);
+  c.sim.drop_next(1, 2, MsgType::kCoordEstimate);  // p2 adopts p0's A
+  c.sim.drop_next(1, 0, MsgType::kCoordAck);       // p0 decides on p2's ack
+  c.sim.drop_next(0, 1, MsgType::kCoordDecide);
+  c.sim.drop_next(0, 2, MsgType::kCoordDecide);
+  c.cons(0).propose(0, val("A"));
+  c.cons(1).propose(0, val("B"));
+  ASSERT_TRUE(c.sim.run_until_pred([&] { return c.cons(0).decided(0); },
+                                   c.sim.now() + seconds(1)));
+  const Bytes decided = *c.cons(0).decision(0);
+  c.sim.crash(0);
+  ASSERT_TRUE(c.await_decision(0, {1, 2}, seconds(30)));
+  EXPECT_EQ(*c.cons(1).decision(0), decided);
+  EXPECT_EQ(*c.cons(2).decision(0), decided);
 }

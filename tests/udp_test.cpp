@@ -200,6 +200,55 @@ TEST(Udp, OversizedDatagramsAreCountedNotFatal) {
   EXPECT_GE(hosts[0]->send_failures(), 1u);
 }
 
+// A message a host addresses to itself skips the kernel: a multisend
+// reaches the sender exactly once, through the loop rather than the socket,
+// the socket counters see the peers' copies only, and an oversized self
+// message is dropped and counted like any oversized datagram.
+TEST(Udp, SelfAddressedMessagesSkipTheSocket) {
+  // Declared before the hosts: the loop threads write them until joined.
+  std::atomic<int> from_self[3] = {0, 0, 0};
+  std::atomic<int> from_zero[3] = {0, 0, 0};
+  auto hosts = make_local_udp_cluster(3, 9);
+  struct Listener final : NodeApp {
+    Listener(Env& env, std::atomic<int>* from_self, std::atomic<int>* from_zero)
+        : env_(env), from_self_(from_self), from_zero_(from_zero) {}
+    void start(bool) override {
+      if (env_.self() != 0) return;
+      env_.multisend(Wire{MsgType::kAbGossip, Bytes(8, 0x01)});
+      env_.send(0, Wire{MsgType::kAbGossip, Bytes(70 * 1024, 0xAB)});
+    }
+    void on_message(ProcessId from, const Wire&) override {
+      if (from == env_.self()) from_self_[env_.self()] += 1;
+      if (from == 0) from_zero_[env_.self()] += 1;
+    }
+    Env& env_;
+    std::atomic<int>* from_self_;
+    std::atomic<int>* from_zero_;
+  };
+  // Host 0 starts last, so its peers are up when its multisend leaves.
+  for (ProcessId p : {1u, 2u, 0u}) {
+    hosts[p]->start_node(
+        [&](Env& env) {
+          return std::make_unique<Listener>(env, from_self, from_zero);
+        },
+        false);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((from_zero[0] < 1 || from_zero[1] < 1 || from_zero[2] < 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // stragglers
+  for (ProcessId p = 0; p < 3; ++p) EXPECT_EQ(from_zero[p], 1) << "p" << p;
+  EXPECT_EQ(from_self[0], 1);
+  const NetMetrics& m = hosts[0]->net_metrics();
+  EXPECT_EQ(m.send_datagrams.load(), 2u);  // the peers' copies only
+  EXPECT_EQ(m.send_failures.load(), 1u);   // the oversized self message
+  EXPECT_EQ(m.recv_datagrams.load(), 0u);
+  hosts.clear();
+}
+
 // The batched engine must be behaviorally identical to the one-syscall path
 // (same protocol, same ordering) while demonstrably coalescing syscalls:
 // every 3-peer multisend is one sendmmsg instead of three sendtos.
