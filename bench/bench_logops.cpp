@@ -5,23 +5,21 @@
 // Each §5 feature then adds precisely its own documented log operations.
 //
 // E15 — Batched I/O hot path (DESIGN.md §16). Two wall-clock tables:
-// logged-ops/s per storage backend × proposer count (the group-commit
-// segmented log must beat the fsync-per-put file backend under concurrency
-// by coalescing fdatasyncs), and syscalls per delivered message over the
-// real UDP transport with sendmmsg/recvmmsg batching off vs on.
+// logged-ops/s of the segmented log when one flush() barrier covers a pass
+// of P puts (P = 16 must beat P = 1, the each-put cost, by coalescing
+// fdatasyncs), and syscalls per delivered message over the real UDP
+// transport with sendmmsg/recvmmsg batching off vs on.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <mutex>
 #include <thread>
 
 #include "apps/kv_store.hpp"
 #include "apps/rsm.hpp"
 #include "bench_util.hpp"
 #include "net/udp_env.hpp"
-#include "storage/file_storage.hpp"
 #include "storage/segment_log_storage.hpp"
 
 using namespace abcast;
@@ -91,108 +89,60 @@ void run_table() {
 }
 
 // ---------------------------------------------------------------------------
-// E15a — logged-ops throughput per storage backend (wall clock, real disk).
+// E15a — logged-ops throughput of the segmented log (wall clock, real disk).
 //
-// `threads` concurrent proposers each log `ops_per_thread` sealed records.
-// file-fsync pays one tmp+write+fsync+rename per put; seglog-eachput pays
-// one append+fdatasync; seglog-group lets the flusher thread coalesce the
-// fdatasyncs of every proposer blocked in the same commit window.
-
-struct LogOpsRow {
-  std::uint64_t ops = 0;
-  double elapsed_ms = 0;
-  double ops_per_sec = 0;
-  std::uint64_t fsyncs = 0;  // 0 = backend does not expose a sync counter
-};
-
-template <typename PutFn>
-LogOpsRow drive_proposers(int threads, int ops_per_thread, PutFn&& put) {
-  const Bytes value(200, 'v');
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> proposers;
-  for (int t = 0; t < threads; ++t) {
-    proposers.emplace_back([t, ops_per_thread, &value, &put] {
-      for (int i = 0; i < ops_per_thread; ++i) {
-        put("cons/prop/t" + std::to_string(t) + "/" + std::to_string(i % 128),
-            value);
-      }
-    });
-  }
-  for (auto& p : proposers) p.join();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  LogOpsRow r;
-  r.ops = static_cast<std::uint64_t>(threads) *
-          static_cast<std::uint64_t>(ops_per_thread);
-  r.elapsed_ms =
-      std::chrono::duration<double, std::milli>(elapsed).count();
-  r.ops_per_sec =
-      r.elapsed_ms > 0 ? 1e3 * static_cast<double>(r.ops) / r.elapsed_ms : 0;
-  return r;
-}
+// One thread logs `kOps` sealed 200-byte records in passes of P puts, each
+// pass closed by flush() under kDeferred — what a host's end-of-pass
+// barrier does. P = 1 pays one fdatasync per put; P = 16 lets one
+// fdatasync cover a whole pass.
 
 void run_logged_ops_table() {
-  banner("E15a: logged-ops throughput by storage backend",
-         "Claim: group-commit coalesces concurrent proposers' fdatasyncs — "
-         "seglog-group must scale with threads where fsync-per-put cannot.");
-  const int ops_per_thread = bench_quick() ? 32 : 256;
-  Table t({"backend", "threads", "ops", "elapsed ms", "ops/s", "fsyncs"});
+  banner("E15a: logged-ops throughput by puts per flush barrier",
+         "Claim: one flush() per pass coalesces the pass's fdatasyncs — "
+         "16 puts per barrier must beat 1 put per barrier.");
+  constexpr int kOps = 256;
+  Table t({"puts/flush", "ops", "elapsed ms", "ops/s", "fsyncs"});
   const auto root = std::filesystem::temp_directory_path() /
                     ("abcast_bench_logops_" + std::to_string(::getpid()));
-  int cell = 0;
-  for (const int threads : {1, 4}) {
-    for (const char* backend :
-         {"file-fsync", "seglog-eachput", "seglog-group"}) {
-      const auto dir = root / (std::string(backend) + "-" +
-                               std::to_string(threads) + "-" +
-                               std::to_string(cell++));
-      std::filesystem::remove_all(dir);
-      LogOpsRow row;
-      if (std::string(backend) == "file-fsync") {
-        // FileStableStorage is single-owner; serialize puts externally the
-        // way a shared log would have to. Every put still fsyncs.
-        FileStableStorage storage(dir, /*fsync_writes=*/true);
-        std::mutex mu;
-        row = drive_proposers(
-            threads, ops_per_thread,
-            [&storage, &mu](const std::string& key, const Bytes& value) {
-              std::lock_guard<std::mutex> lock(mu);
-              storage.put(key, value);
-            });
-        row.fsyncs = row.ops;  // fsync-per-put by construction
-      } else {
-        SegmentedLogConfig cfg;
-        cfg.dir = dir;
-        cfg.sync = std::string(backend) == "seglog-group"
-                       ? SyncMode::kGroupCommit
-                       : SyncMode::kEachPut;
-        SegmentedLogStorage storage(cfg);
-        row = drive_proposers(
-            threads, ops_per_thread,
-            [&storage](const std::string& key, const Bytes& value) {
-              storage.put(key, value);
-            });
-        row.fsyncs = storage.seg_stats().fsyncs;
+  const Bytes value(200, 'v');
+  for (const int pass_puts : {1, 16}) {
+    SegmentedLogConfig cfg;
+    cfg.dir = root / ("pass-" + std::to_string(pass_puts));
+    cfg.sync = SyncMode::kDeferred;
+    std::filesystem::remove_all(cfg.dir);
+    double elapsed_ms = 0;
+    std::uint64_t fsyncs = 0;
+    {
+      SegmentedLogStorage storage(cfg);
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < kOps; ++i) {
+        storage.put("cons/prop/" + std::to_string(i % 128), value);
+        if ((i + 1) % pass_puts == 0) storage.flush();
       }
-      std::filesystem::remove_all(dir);
-      t.row({backend, std::to_string(threads), fmt_u64(row.ops),
-             Table::num(row.elapsed_ms, 1), Table::num(row.ops_per_sec, 0),
-             fmt_u64(row.fsyncs)});
-      Json j;
-      j.field("experiment", "logops_throughput")
-          .field("backend", backend)
-          .field("threads", threads)
-          .field("ops", row.ops)
-          .field("elapsed_ms", row.elapsed_ms, 2)
-          .field("ops_per_sec", row.ops_per_sec, 1)
-          .field("fsyncs", row.fsyncs);
-      emit_json_row(j);
+      elapsed_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+      fsyncs = storage.seg_stats().fsyncs;
     }
+    const double ops_per_sec =
+        elapsed_ms > 0 ? 1e3 * static_cast<double>(kOps) / elapsed_ms : 0;
+    t.row({std::to_string(pass_puts), std::to_string(kOps),
+           Table::num(elapsed_ms, 1), Table::num(ops_per_sec, 0),
+           fmt_u64(fsyncs)});
+    Json j;
+    j.field("experiment", "logops_throughput")
+        .field("pass_puts", pass_puts)
+        .field("ops", kOps)
+        .field("elapsed_ms", elapsed_ms, 2)
+        .field("ops_per_sec", ops_per_sec, 1)
+        .field("fsyncs", fsyncs);
+    emit_json_row(j);
   }
   std::filesystem::remove_all(root);
   t.print(std::cout);
-  std::printf("\n(every record is durable before put returns in all three "
-              "backends; group-commit's win is syncs shared across blocked "
-              "proposers, visible in the fsyncs column)\n");
+  std::printf("\n(every record is durable once its pass's flush() returns; "
+              "the win is syncs shared across a pass, visible in the fsyncs "
+              "column)\n");
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
-#include "storage/file_storage.hpp"
 #include "storage/mem_storage.hpp"
 #include "storage/segment_log_storage.hpp"
 
@@ -71,42 +70,8 @@ void BM_MemStoragePut(benchmark::State& state) {
 }
 BENCHMARK(BM_MemStoragePut);
 
-void BM_FileStoragePut(benchmark::State& state) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("abcast_bench_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  {
-    FileStableStorage storage(dir, /*fsync_writes=*/false);
-    const Bytes value(256, 'v');
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-      storage.put("cons/prop/" + std::to_string(i++ % 100), value);
-    }
-  }
-  std::filesystem::remove_all(dir);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FileStoragePut);
-
-void BM_FileStoragePutFsync(benchmark::State& state) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("abcast_bench_f_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  {
-    FileStableStorage storage(dir, /*fsync_writes=*/true);
-    const Bytes value(256, 'v');
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-      storage.put("cons/prop/" + std::to_string(i++ % 100), value);
-    }
-  }
-  std::filesystem::remove_all(dir);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FileStoragePutFsync);
-
-// The segmented-log backend (DESIGN.md §16), against the file-per-record
-// numbers above: one buffered append per put instead of tmp+rename.
+// The segmented-log backend (DESIGN.md §16): one buffered append per put,
+// unsynced here; BM_SegLogPutFsync adds the host's flush barrier per put.
 void BM_SegLogPut(benchmark::State& state) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("abcast_bench_sl_" + std::to_string(::getpid()));
@@ -134,12 +99,13 @@ void BM_SegLogPutFsync(benchmark::State& state) {
   {
     SegmentedLogConfig cfg;
     cfg.dir = dir;
-    cfg.sync = SyncMode::kEachPut;
+    cfg.sync = SyncMode::kDeferred;
     SegmentedLogStorage storage(cfg);
     const Bytes value(256, 'v');
     std::uint64_t i = 0;
     for (auto _ : state) {
       storage.put("cons/prop/" + std::to_string(i++ % 100), value);
+      storage.flush();
     }
   }
   std::filesystem::remove_all(dir);

@@ -17,9 +17,9 @@
 # The E15 batched-I/O rows in BENCH_logops.json are wall-clock, so their
 # guards are self-relative within the same run (robust to slow CI hosts):
 #
-#   * logops_throughput: seglog-group at 4 proposers must beat file-fsync at
-#     4 proposers by ABCAST_LOGOPS_MIN_RATIO (default 1.2; the committed
-#     full run shows >2x) — group-commit must actually coalesce fdatasyncs;
+#   * logops_throughput: the segmented log with 16 puts per flush() barrier
+#     must beat 1 put per barrier by ABCAST_LOGOPS_MIN_RATIO (default 1.2) —
+#     the host's end-of-pass barrier must actually coalesce fdatasyncs;
 #   * udp_syscalls: the batched row's send syscalls/datagram must stay below
 #     ABCAST_UDP_MAX_SYSCALL_RATIO (default 0.8; unbatched is 1.0 by
 #     construction) and the run must have converged.
@@ -109,24 +109,24 @@ def one(experiment, **match):
     sys.exit(f"{logops_path}: no {experiment} row matching {match}")
 
 
-group = one("logops_throughput", backend="seglog-group", threads=4)
-file_f = one("logops_throughput", backend="file-fsync", threads=4)
-speedup = group["ops_per_sec"] / max(file_f["ops_per_sec"], 1e-9)
+pass16 = one("logops_throughput", pass_puts=16)
+pass1 = one("logops_throughput", pass_puts=1)
+speedup = pass16["ops_per_sec"] / max(pass1["ops_per_sec"], 1e-9)
 print(
-    f"logged ops, 4 proposers: seglog-group {group['ops_per_sec']:.0f} ops/s "
-    f"({group['fsyncs']} fsyncs), file-fsync {file_f['ops_per_sec']:.0f} "
-    f"ops/s ({file_f['fsyncs']} fsyncs) -> {speedup:.2f}x (floor "
+    f"logged ops: 16 puts/flush {pass16['ops_per_sec']:.0f} ops/s "
+    f"({pass16['fsyncs']} fsyncs), 1 put/flush {pass1['ops_per_sec']:.0f} "
+    f"ops/s ({pass1['fsyncs']} fsyncs) -> {speedup:.2f}x (floor "
     f"{logops_ratio}x)"
 )
 if speedup < logops_ratio:
     sys.exit(
-        f"REGRESSION: group-commit speedup {speedup:.2f}x fell below "
-        f"{logops_ratio}x over fsync-per-put at 4 proposers"
+        f"REGRESSION: 16 puts per flush ran {speedup:.2f}x, below "
+        f"{logops_ratio}x the one-put-per-flush rate"
     )
-if group["fsyncs"] >= group["ops"]:
+if pass16["fsyncs"] >= pass16["ops"]:
     sys.exit(
-        f"REGRESSION: group-commit issued {group['fsyncs']} fsyncs for "
-        f"{group['ops']} ops — no coalescing happened"
+        f"REGRESSION: 16 puts per flush issued {pass16['fsyncs']} fsyncs for "
+        f"{pass16['ops']} ops — no coalescing happened"
     )
 
 batched = one("udp_syscalls", batched=True)

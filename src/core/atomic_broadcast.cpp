@@ -20,6 +20,22 @@ namespace {
 constexpr const char* kCkptKey = "ckpt";
 constexpr const char* kUnorderedKey = "unord";
 
+/// Keepalive floor under Options::suppress_idle_gossip: gossip goes out at
+/// least once per this many ticks, so peers we have never heard from (and
+/// the gossip_k_ lag detection) keep working.
+constexpr std::uint32_t kGossipKeepalivePeriods = 8;
+/// Go-back timer of a catch-up session's stop-and-wait window: when the last
+/// burst is not fully acked within this interval, the sender rewinds its
+/// cursor to the receiver's last ack and resends.
+constexpr Duration kStateRetransmitInterval = millis(30);
+/// Chunks a catch-up session sends per burst before waiting for the
+/// receiver's ack (bounds in-flight state bytes per lagging peer).
+constexpr std::uint32_t kStateBurstChunks = 4;
+/// A catch-up session that has heard nothing from its receiver for this long
+/// is dropped (the receiver's next gossip recreates it). Also bounds how long
+/// a stuck session may defer checkpoint compaction.
+constexpr Duration kStateSessionTimeout = millis(600);
+
 std::string unordered_item_key(const MsgId& id) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "u/%010u-%020llu", id.sender,
@@ -215,10 +231,9 @@ MsgId AtomicBroadcast::broadcast(Bytes payload) {
     } else {
       log_unordered_set();
     }
-    // Durability barrier for deferred-sync backends (group-commit segmented
-    // log): §5.4's contract is that the record survives a crash once this
-    // call returns, not merely once it is appended. No-op on backends whose
-    // put is already synchronous.
+    // Durability barrier for the deferred-sync segmented log: §5.4's
+    // contract is that the record survives a crash once this call returns,
+    // not merely once it is appended. No-op on the in-memory backends.
     storage_.flush();
   }
 
@@ -430,8 +445,7 @@ void AtomicBroadcast::gossip_tick() {
     // Keepalive floor: even a fully idle group gossips every N periods, so
     // the fair-lossy channel still delivers our view infinitely often (the
     // round-lag and cover-lag repairs below depend on that).
-    send = idle_ticks_ >= options_.gossip_keepalive_periods ||
-           gossip_needed();
+    send = idle_ticks_ >= kGossipKeepalivePeriods || gossip_needed();
   }
   if (send) {
     send_gossip_now();
@@ -802,7 +816,7 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
         options_.max_state_bytes > state_snap_header_bytes()
             ? options_.max_state_bytes - state_snap_header_bytes()
             : 1;
-    for (std::uint32_t b = 0; b < options_.state_burst_chunks &&
+    for (std::uint32_t b = 0; b < kStateBurstChunks &&
                               s.sent_snap_bytes < snap_cache_.size();
          ++b) {
       StateChunkMsg c;
@@ -824,7 +838,7 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
       env_.send(to, wire);
       s.sent_snap_bytes += len;
     }
-    s.resend_at = now + options_.state_retransmit_interval;
+    s.resend_at = now + kStateRetransmitInterval;
     return;
   }
 
@@ -844,7 +858,7 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
   const std::vector<AppMsg>& suffix = agreed_.suffix();
   const std::size_t header = state_chunk_header_bytes();
   const std::size_t budget = std::max(options_.max_state_bytes, header + 1);
-  for (std::uint32_t b = 0; b < options_.state_burst_chunks; ++b) {
+  for (std::uint32_t b = 0; b < kStateBurstChunks; ++b) {
     StateChunkMsg c;
     c.k = state_k;
     c.offset = s.sent_total;
@@ -872,14 +886,14 @@ void AtomicBroadcast::state_pump(ProcessId to, CatchUpSession& s) {
     s.sent_total = pos;
     if (c.final_chunk) break;
   }
-  s.resend_at = now + options_.state_retransmit_interval;
+  s.resend_at = now + kStateRetransmitInterval;
 }
 
 void AtomicBroadcast::gc_state_sessions() {
   if (state_sessions_.empty()) return;
   const TimePoint now = env_.now();
   for (auto it = state_sessions_.begin(); it != state_sessions_.end();) {
-    if (now - it->second.last_heard > options_.state_session_timeout) {
+    if (now - it->second.last_heard > kStateSessionTimeout) {
       it = state_sessions_.erase(it);
     } else {
       ++it;
@@ -891,7 +905,7 @@ bool AtomicBroadcast::compaction_deferred() const {
   // While any live session still streams, compacting would clear the suffix
   // it reads from (tail phase) or retire the snapshot version in flight
   // (snapshot phase) and restart the transfer — a livelock when checkpoints
-  // outpace one transfer. Sessions are GC'd after state_session_timeout, so
+  // outpace one transfer. Sessions are GC'd after kStateSessionTimeout, so
   // a dead receiver defers compaction only boundedly.
   for (const auto& [peer, s] : state_sessions_) {
     (void)peer;

@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/types.hpp"
+#include "env/wire.hpp"
 
 namespace abcast::core {
 
@@ -36,16 +37,16 @@ struct Options {
   /// is split into several datagrams — each a self-contained, in-seq-order
   /// suffix the receiver's guard accepts on its own — so a delta to a
   /// deeply lagging peer never exceeds what the transport can carry (the
-  /// rt/udp host silently drops frames above 64 KiB). Must leave room for
-  /// the digest header plus at least one message.
+  /// UDP host drops frames above kMaxDatagram, env/wire.hpp). Must leave
+  /// room for the digest header plus at least one message, and may not
+  /// exceed kMaxDatagram.
   std::size_t max_delta_bytes = 56 * 1024;
 
   /// Skip a gossip tick when nothing changed since the last send and no
   /// peer is known to lag. A keepalive still goes out every
-  /// `gossip_keepalive_periods` ticks so peers we have never heard from
-  /// (and the gossip_k_ lag detection) keep working.
+  /// kGossipKeepalivePeriods ticks (atomic_broadcast.cpp) so peers we have
+  /// never heard from (and the gossip_k_ lag detection) keep working.
   bool suppress_idle_gossip = false;
-  std::uint32_t gossip_keepalive_periods = 8;
 
   // ---- §5.1: avoiding the replay phase ---------------------------------
   /// Periodically log (k, Agreed) so recovery resumes from the checkpoint
@@ -75,21 +76,11 @@ struct Options {
   /// itself first (snapshot phase) regardless of this flag.
   bool trimmed_state_transfer = false;
   /// Upper bound on one catch-up chunk's payload (same framing discipline
-  /// as max_delta_bytes: the rt/udp host silently drops frames above
-  /// 64 KiB, so a state transfer must never produce one). Must leave room
-  /// for the chunk header plus at least one message / one snapshot byte.
+  /// as max_delta_bytes: the UDP host drops frames above kMaxDatagram, so
+  /// a state transfer must never produce one). Must leave room for the
+  /// chunk header plus at least one message / one snapshot byte, and may
+  /// not exceed kMaxDatagram.
   std::size_t max_state_bytes = 56 * 1024;
-  /// Go-back timer of the catch-up session's stop-and-wait window: when the
-  /// last burst is not fully acked within this interval, the sender rewinds
-  /// its cursor to the receiver's last ack and resends.
-  Duration state_retransmit_interval = millis(30);
-  /// Chunks a catch-up session sends per burst before waiting for the
-  /// receiver's ack (bounds in-flight state bytes per lagging peer).
-  std::uint32_t state_burst_chunks = 4;
-  /// A catch-up session that has heard nothing from its receiver for this
-  /// long is dropped (the receiver's next gossip recreates it). Also bounds
-  /// how long a stuck session may defer checkpoint compaction.
-  Duration state_session_timeout = millis(600);
 
   // ---- §5.4: message batches / early return -----------------------------
   /// Log the Unordered set on every A-broadcast so the call durably
@@ -150,13 +141,12 @@ struct Options {
     ABCAST_CHECK_MSG(max_state_bytes >= 256,
                      "max_state_bytes must fit the chunk header plus at "
                      "least one small message");
+    ABCAST_CHECK_MSG(max_delta_bytes <= kMaxDatagram &&
+                         max_state_bytes <= kMaxDatagram,
+                     "max_delta_bytes and max_state_bytes must fit one "
+                     "datagram (kMaxDatagram)");
     if (checkpointing) ABCAST_CHECK(checkpoint_period > 0);
-    if (state_transfer) {
-      ABCAST_CHECK(delta >= 1);
-      ABCAST_CHECK(state_retransmit_interval > 0);
-      ABCAST_CHECK(state_burst_chunks >= 1);
-      ABCAST_CHECK(state_session_timeout > 0);
-    }
+    if (state_transfer) ABCAST_CHECK(delta >= 1);
   }
 };
 

@@ -1,6 +1,7 @@
 // Wire-level message envelope shared by all protocol layers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -90,6 +91,11 @@ enum class MsgType : std::uint16_t {
   // 112 is reserved for the multi-group envelope (kGroupEnvelope); the tag
   // is defined in src/group/group_wire.hpp, its wire-tag home.
 };
+
+/// Largest frame a transport carries: the UDP host drops (and counts as a
+/// send_failure) any frame above it, and sizes its receive buffers to it.
+/// Every encoder whose output grows with backlog must stay below it.
+inline constexpr std::size_t kMaxDatagram = 64 * 1024;
 
 /// A datagram: a message-type tag plus an opaque serialized payload. The
 /// payload codec is owned by the layer that owns the MsgType. The payload is

@@ -19,8 +19,6 @@
 namespace abcast::net {
 namespace {
 
-constexpr std::size_t kMaxDatagram = 64 * 1024;
-
 /// The length make_frame gives `msg`: sender pid, type, payload length and
 /// payload.
 std::size_t frame_size(const Wire& msg) {

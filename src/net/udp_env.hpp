@@ -16,17 +16,17 @@
 // send()/multisend() only queue frames (a multisend queues one refcounted
 // frame per peer over a single encode). A message addressed to this process
 // skips the kernel: it is queued as a Wire and, at release, handed back to
-// the loop as a task due now. The loop's end-of-pass barrier
-// runs storage().flush() BEFORE the queue is released, so a deferred-sync
-// backend (SegmentedLogStorage) is externally indistinguishable from a
-// synchronous one — classic group commit (DESIGN.md §16). The release
-// issues one sendto() per datagram, or with UdpBatchConfig::enabled one
-// sendmmsg() per send_batch datagrams, each mmsghdr carrying its own
-// destination. Inbound, batching drains up to recv_batch datagrams per
+// the loop as a task due now. The loop's end-of-pass barrier runs
+// storage().flush() BEFORE the queue is released, so a deferred-sync backend
+// (SegmentedLogStorage) is externally indistinguishable from a synchronous
+// one, and one fdatasync covers every record the pass appended (DESIGN.md
+// §16). The release issues one sendto() per datagram, or with
+// UdpBatchConfig::enabled one sendmmsg() per send_batch datagrams, each
+// mmsghdr carrying its own destination. Inbound, batching drains up to recv_batch datagrams per
 // recvmmsg() into a preallocated buffer ring feeding the same decode path.
 //
-// Limitations (documented, inherent to UDP): a datagram larger than the
-// ~64 KB UDP limit cannot be sent and is silently dropped, so deployments
+// Limitations (documented, inherent to UDP): a frame larger than
+// kMaxDatagram (env/wire.hpp) cannot be sent and is dropped, so deployments
 // with long histories should enable application checkpointing + trimmed
 // state transfer to keep state messages small.
 #pragma once

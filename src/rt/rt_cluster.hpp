@@ -36,7 +36,7 @@ struct RtConfig {
   RtNetConfig net;
   /// Per-process stable storage; defaults to MemStableStorage (which here
   /// survives crash()/recover() but not process exit). Use
-  /// FileStableStorage for on-disk durability.
+  /// SegmentedLogStorage for on-disk durability.
   std::function<std::unique_ptr<StableStorage>(ProcessId)> storage_factory;
   /// Per-host protocol trace ring capacity (events); 0 disables tracing.
   std::size_t trace_capacity = 0;

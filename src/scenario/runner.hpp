@@ -36,7 +36,7 @@ struct RunOptions {
   std::size_t trace_capacity = 1 << 17;
   /// Per-process stable-storage backend override (default: in-memory).
   /// This is how a sweep cell runs the whole oracle-checked scenario suite
-  /// against a real on-disk backend (e.g. SegmentedLogStorage), with the
+  /// against the on-disk backend (SegmentedLogStorage), with the
   /// FaultyStorage decorator layered on top as usual.
   std::function<std::unique_ptr<StableStorage>(ProcessId)> storage_factory;
 };

@@ -58,7 +58,7 @@ struct SimConfig {
   std::uint64_t seed = 1;
   NetConfig net;
   /// Per-process stable storage; defaults to MemStableStorage. Supply
-  /// DiscardStorage for crash-stop baselines or FileStableStorage for
+  /// DiscardStorage for crash-stop baselines or SegmentedLogStorage for
   /// durability integration tests. Every host's storage is wrapped in a
   /// FaultyStorage decorator (a passthrough until faults are configured).
   std::function<std::unique_ptr<StableStorage>(ProcessId)> storage_factory;

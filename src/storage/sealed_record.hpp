@@ -1,7 +1,7 @@
 // Self-validating stable-storage records.
 //
-// A backend's own integrity checks (FileStableStorage's magic+CRC) protect
-// against torn files, but nothing protects a record travelling through a
+// The segmented log seals its own records, so a torn append is truncated
+// away at reopen; but nothing protects a record travelling through a
 // backend that lies — bit rot below the filesystem, a torn write on a
 // non-atomic store, or the injected faults of FaultyStorage. Sealing adds a
 // CRC-32 trailer at the *protocol* layer, so every reader can distinguish

@@ -55,25 +55,15 @@ SegmentedLogStorage::SegmentedLogStorage(SegmentedLogConfig cfg)
   if (ec) throw StorageIoError("cannot create " + cfg_.dir.string());
   replay_segments();
   open_fresh_segment();
-  if (cfg_.sync == SyncMode::kGroupCommit) {
-    flusher_ = std::thread([this] { flusher_loop(); });
-  }
 }
 
 SegmentedLogStorage::~SegmentedLogStorage() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Best-effort final barrier so a clean shutdown leaves nothing in the
-    // page cache only (destruction is not a crash).
-    if (dirty_ && fd_ >= 0 && cfg_.sync != SyncMode::kNone) {
-      ::fdatasync(fd_);
-      dirty_ = false;
-    }
-    stop_ = true;
+  std::unique_lock<std::mutex> lock(mu_);
+  // Best-effort final barrier so a clean shutdown leaves nothing in the
+  // page cache only (destruction is not a crash).
+  if (unsynced_records_ > 0 && fd_ >= 0 && cfg_.sync != SyncMode::kNone) {
+    ::fdatasync(fd_);
   }
-  flusher_cv_.notify_all();
-  commit_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -108,6 +98,13 @@ void SegmentedLogStorage::sync_fd(int fd, const char* what) {
   seg_stats_.fsyncs += 1;
 }
 
+void SegmentedLogStorage::sync_pending() {
+  if (unsynced_records_ == 0 || cfg_.sync == SyncMode::kNone) return;
+  sync_fd(fd_, "segment");
+  seg_stats_.group_commits += unsynced_records_ - 1;
+  unsynced_records_ = 0;
+}
+
 void SegmentedLogStorage::sync_dir() {
   const int fd = ::open(cfg_.dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) throw StorageIoError("open dir failed: " + cfg_.dir.string());
@@ -122,8 +119,7 @@ void SegmentedLogStorage::open_fresh_segment() {
   if (fd_ >= 0) {
     // Seal the outgoing segment: everything in it becomes durable before
     // the switch, so sync points only ever cover the current fd.
-    if (dirty_ && cfg_.sync != SyncMode::kNone) sync_fd(fd_, "segment");
-    dirty_ = false;
+    sync_pending();
     ::close(fd_);
     fd_ = -1;
   }
@@ -139,7 +135,7 @@ void SegmentedLogStorage::append_record(std::string_view key,
                                         const Bytes* value) {
   const Bytes framed = frame_record(key, value);
   write_all(fd_, framed, "segment");
-  dirty_ = true;
+  unsynced_records_ += 1;
   seg_stats_.appends += 1;
   seg_stats_.bytes_appended += framed.size();
   current_segment_bytes_ += framed.size();
@@ -195,7 +191,6 @@ void SegmentedLogStorage::compact() {
     sync_fd(fd_, "compacted segment");
     sync_dir();
   }
-  dirty_ = false;
   current_segment_bytes_ = compacted_bytes;
   live_disk_bytes_ = compacted_bytes;
   total_disk_bytes_ = compacted_bytes;
@@ -301,80 +296,13 @@ std::uint64_t SegmentedLogStorage::replay_one(const fs::path& path) {
   return pos;
 }
 
-// ---- durability ------------------------------------------------------------
-
-void SegmentedLogStorage::await_durable(std::uint64_t seq,
-                                        std::unique_lock<std::mutex>& lock) {
-  if (durable_seq_ < seq) {
-    flusher_cv_.notify_one();
-    commit_cv_.wait(lock, [this, seq] { return durable_seq_ >= seq || stop_; });
-  }
-}
-
-void SegmentedLogStorage::flusher_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    flusher_cv_.wait(lock,
-                     [this] { return stop_ || appended_seq_ > durable_seq_; });
-    if (stop_) return;
-    const std::uint64_t target = appended_seq_;
-    const int fd = fd_;
-    // Sync outside the lock: appends from other proposers land on the
-    // (O_APPEND) fd meanwhile and ride the NEXT sync — the coalescing that
-    // makes group commit pay. The roll path seals an outgoing fd before
-    // closing it, so `fd` stays valid: open_fresh_segment only runs inside
-    // put/erase/compact, which hold mu_... but they may close fd_ while we
-    // sync. Guard by syncing a dup so a concurrent roll cannot invalidate it.
-    const int dup_fd = ::dup(fd);
-    lock.unlock();
-    const bool ok = dup_fd >= 0 && ::fdatasync(dup_fd) == 0;
-    if (dup_fd >= 0) ::close(dup_fd);
-    lock.lock();
-    if (ok) {
-      seg_stats_.fsyncs += 1;
-      if (target > durable_seq_) {
-        seg_stats_.group_commits += target - durable_seq_ - 1;
-        durable_seq_ = target;
-      }
-      if (durable_seq_ == appended_seq_) dirty_ = false;
-      commit_cv_.notify_all();
-    }
-    // On sync failure keep durable_seq_ put: waiting puts stay blocked until
-    // shutdown (a sync error on a log device is not recoverable in-protocol).
-    if (!ok && !stop_) {
-      stop_ = true;
-      commit_cv_.notify_all();
-      return;
-    }
-  }
-}
-
 // ---- StableStorage ---------------------------------------------------------
 
 void SegmentedLogStorage::put(std::string_view key, const Bytes& value) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (stop_) throw StorageIoError("segmented log is shut down");
   append_record(key, &value);
-  appended_seq_ += 1;
-  const std::uint64_t my_seq = appended_seq_;
   stats_.put_ops += 1;
   stats_.bytes_written += key.size() + value.size();
-  switch (cfg_.sync) {
-    case SyncMode::kNone:
-    case SyncMode::kDeferred:
-      break;
-    case SyncMode::kEachPut:
-      sync_fd(fd_, "segment");
-      dirty_ = false;
-      durable_seq_ = my_seq;
-      break;
-    case SyncMode::kGroupCommit:
-      await_durable(my_seq, lock);
-      if (durable_seq_ < my_seq) {
-        throw StorageIoError("segmented log sync failed");
-      }
-      break;
-  }
 }
 
 std::optional<Bytes> SegmentedLogStorage::get(std::string_view key) {
@@ -387,47 +315,14 @@ std::optional<Bytes> SegmentedLogStorage::get(std::string_view key) {
 
 void SegmentedLogStorage::erase(std::string_view key) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (stop_) throw StorageIoError("segmented log is shut down");
   stats_.erase_ops += 1;
   if (records_.find(key) == records_.end()) return;  // nothing to tombstone
   append_record(key, nullptr);
-  appended_seq_ += 1;
-  const std::uint64_t my_seq = appended_seq_;
-  switch (cfg_.sync) {
-    case SyncMode::kNone:
-    case SyncMode::kDeferred:
-      break;
-    case SyncMode::kEachPut:
-      sync_fd(fd_, "segment");
-      dirty_ = false;
-      durable_seq_ = my_seq;
-      break;
-    case SyncMode::kGroupCommit:
-      await_durable(my_seq, lock);
-      break;
-  }
 }
 
 void SegmentedLogStorage::flush() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!dirty_ || fd_ < 0) return;
-  switch (cfg_.sync) {
-    case SyncMode::kNone:
-      return;  // explicitly unsynced (benchmarks / sim backends)
-    case SyncMode::kEachPut:
-      return;  // every op already synced inline
-    case SyncMode::kGroupCommit:
-      await_durable(appended_seq_, lock);
-      return;
-    case SyncMode::kDeferred:
-      sync_fd(fd_, "segment");
-      dirty_ = false;
-      if (appended_seq_ > durable_seq_) {
-        seg_stats_.group_commits += appended_seq_ - durable_seq_ - 1;
-        durable_seq_ = appended_seq_;
-      }
-      return;
-  }
+  sync_pending();
 }
 
 std::vector<std::string> SegmentedLogStorage::keys_with_prefix(

@@ -340,3 +340,15 @@ TEST(AbBasic, CommitGapHistogramRecordsParkedDecides) {
   c.oracle().check();
   EXPECT_GT(c.sim().metrics_registry().histogram("ab_commit_gap").count(), 0u);
 }
+
+TEST(AbOptions, GossipAndStateBudgetsMustFitOneDatagram) {
+  core::Options o;
+  o.max_delta_bytes = kMaxDatagram;
+  o.max_state_bytes = kMaxDatagram;
+  EXPECT_NO_THROW(o.validate());
+  o.max_delta_bytes = kMaxDatagram + 1;
+  EXPECT_THROW(o.validate(), InvariantViolation);
+  o.max_delta_bytes = kMaxDatagram;
+  o.max_state_bytes = kMaxDatagram + 1;
+  EXPECT_THROW(o.validate(), InvariantViolation);
+}

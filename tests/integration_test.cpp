@@ -7,7 +7,7 @@
 
 #include "harness/fixture.hpp"
 #include "sim/fault_plan.hpp"
-#include "storage/file_storage.hpp"
+#include "storage/segment_log_storage.hpp"
 
 using namespace abcast;
 using namespace abcast::harness;
@@ -133,8 +133,8 @@ TEST(Integration, FileBackedHostsInsideSimulator) {
     cfg.sim.n = 3;
     cfg.sim.seed = 56;
     cfg.sim.storage_factory = [dir](ProcessId p) {
-      return std::make_unique<FileStableStorage>(
-          dir / ("node" + std::to_string(p)), /*fsync_writes=*/false);
+      return std::make_unique<SegmentedLogStorage>(SegmentedLogConfig{
+          dir / ("node" + std::to_string(p)), SyncMode::kNone});
     };
     Cluster c(cfg);
     c.start_all();

@@ -10,7 +10,7 @@
 #include "apps/rsm.hpp"
 #include "obs/trace_check.hpp"
 #include "rt/rt_cluster.hpp"
-#include "storage/file_storage.hpp"
+#include "storage/segment_log_storage.hpp"
 
 using namespace abcast;
 using namespace abcast::apps;
@@ -179,8 +179,8 @@ TEST(Rt, FileBackedStorageSurvives) {
   {
     rt::RtConfig cfg{.n = 3, .seed = 5};
     cfg.storage_factory = [dir](ProcessId p) {
-      return std::make_unique<FileStableStorage>(
-          dir / ("node" + std::to_string(p)), /*fsync_writes=*/false);
+      return std::make_unique<SegmentedLogStorage>(SegmentedLogConfig{
+          dir / ("node" + std::to_string(p)), SyncMode::kNone});
     };
     core::StackConfig stack;
     stack.ab.log_unordered = true;

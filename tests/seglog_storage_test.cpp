@@ -1,7 +1,7 @@
-// Group-commit segmented-log backend (DESIGN.md §16): round-trip + reopen
-// recovery, torn-tail truncation, segment roll, compaction, the group-commit
-// flusher under concurrent proposers, the deferred flush barrier, and the
-// crash-point sweep pinning recovery byte-identical to the file backend.
+// Segmented-log backend (DESIGN.md §16): round-trip + reopen recovery,
+// hostile keys, torn-tail truncation, segment roll, compaction, the flush
+// barrier (alone and under concurrent loggers), and the crash-point sweep
+// pinning recovery byte-identical to an in-memory reference.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,7 +12,7 @@
 
 #include "common/rng.hpp"
 #include "storage/faulty_storage.hpp"
-#include "storage/file_storage.hpp"
+#include "storage/mem_storage.hpp"
 #include "storage/segment_log_storage.hpp"
 
 using namespace abcast;
@@ -41,7 +41,8 @@ class TempDir {
   fs::path path_;
 };
 
-SegmentedLogConfig cfg_at(const fs::path& dir, SyncMode sync) {
+SegmentedLogConfig cfg_at(const fs::path& dir,
+                          SyncMode sync = SyncMode::kDeferred) {
   SegmentedLogConfig cfg;
   cfg.dir = dir;
   cfg.sync = sync;
@@ -61,7 +62,7 @@ std::map<std::string, Bytes> dump(StableStorage& s) {
 
 TEST(SegLog, PutGetEraseRoundTrip) {
   TempDir dir;
-  SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kEachPut));
+  SegmentedLogStorage s(cfg_at(dir.path()));
   EXPECT_FALSE(s.get("k").has_value());
   s.put("k", bytes_of("v1"));
   EXPECT_EQ(s.get("k"), bytes_of("v1"));
@@ -90,7 +91,7 @@ TEST(SegLog, ReopenRecoversPutsOverwritesAndErases) {
   TempDir dir;
   std::map<std::string, Bytes> expect;
   {
-    SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kEachPut));
+    SegmentedLogStorage s(cfg_at(dir.path()));
     for (int i = 0; i < 50; ++i) {
       const std::string k = "key/" + std::to_string(i % 17);
       const Bytes v = bytes_of("value-" + std::to_string(i));
@@ -101,7 +102,7 @@ TEST(SegLog, ReopenRecoversPutsOverwritesAndErases) {
     expect.erase("key/3");
     s.erase("missing");  // erase-of-absent must not log a tombstone
   }
-  SegmentedLogStorage reopened(cfg_at(dir.path(), SyncMode::kEachPut));
+  SegmentedLogStorage reopened(cfg_at(dir.path()));
   EXPECT_EQ(dump(reopened), expect);
   EXPECT_GT(reopened.seg_stats().recovered_records, 0u);
   EXPECT_EQ(reopened.seg_stats().torn_tail_records, 0u);
@@ -110,7 +111,7 @@ TEST(SegLog, ReopenRecoversPutsOverwritesAndErases) {
 TEST(SegLog, TornTailIsTruncatedAndRecoveryContinues) {
   TempDir dir;
   {
-    SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kEachPut));
+    SegmentedLogStorage s(cfg_at(dir.path()));
     s.put("a", bytes_of("alpha"));
     s.put("b", bytes_of("beta"));
   }
@@ -129,13 +130,13 @@ TEST(SegLog, TornTailIsTruncatedAndRecoveryContinues) {
     f.write(garbage, sizeof garbage - 1);
   }
   {
-    SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kEachPut));
+    SegmentedLogStorage s(cfg_at(dir.path()));
     EXPECT_EQ(s.get("a"), bytes_of("alpha"));
     EXPECT_EQ(s.get("b"), bytes_of("beta"));
     EXPECT_EQ(s.seg_stats().torn_tail_records, 1u);
     s.put("c", bytes_of("gamma"));  // keep appending after the repair
   }
-  SegmentedLogStorage again(cfg_at(dir.path(), SyncMode::kEachPut));
+  SegmentedLogStorage again(cfg_at(dir.path()));
   EXPECT_EQ(again.seg_stats().torn_tail_records, 0u);  // tail was truncated
   EXPECT_EQ(again.get("a"), bytes_of("alpha"));
   EXPECT_EQ(again.get("c"), bytes_of("gamma"));
@@ -143,7 +144,7 @@ TEST(SegLog, TornTailIsTruncatedAndRecoveryContinues) {
 
 TEST(SegLog, SegmentRollSpreadsRecordsAcrossFiles) {
   TempDir dir;
-  auto cfg = cfg_at(dir.path(), SyncMode::kEachPut);
+  auto cfg = cfg_at(dir.path());
   cfg.segment_bytes = 512;  // force frequent rolls
   cfg.compact_min_bytes = 1 << 30;  // keep compaction out of this test
   std::map<std::string, Bytes> expect;
@@ -163,7 +164,7 @@ TEST(SegLog, SegmentRollSpreadsRecordsAcrossFiles) {
 
 TEST(SegLog, CompactionReclaimsDeadBytesAndSurvivesReopen) {
   TempDir dir;
-  auto cfg = cfg_at(dir.path(), SyncMode::kEachPut);
+  auto cfg = cfg_at(dir.path());
   cfg.segment_bytes = 4096;
   cfg.compact_min_bytes = 2048;
   cfg.compact_dead_ratio = 0.5;
@@ -186,32 +187,55 @@ TEST(SegLog, CompactionReclaimsDeadBytesAndSurvivesReopen) {
   EXPECT_EQ(reopened.get("hot/3"), bytes_of("payload-399"));
 }
 
-TEST(SegLog, GroupCommitCoalescesSyncsAcrossProposers) {
+TEST(SegLog, HostileKeysAndEmptyValuesSurviveReopen) {
+  TempDir dir;
+  const std::string slashed = "a/b c%d\xE2\x82\xAC!";
+  const std::string nul_key("a/nul\0tail", 10);
+  const std::string nul_prefix("a/nul", 5);  // a real prefix of nul_key
+  {
+    SegmentedLogStorage s(cfg_at(dir.path()));
+    s.put(slashed, bytes_of("v"));
+    s.put(nul_key, {});  // empty value, distinct from absent
+    s.put(nul_prefix, bytes_of("short"));
+    s.flush();
+  }
+  SegmentedLogStorage reopened(cfg_at(dir.path()));
+  EXPECT_EQ(reopened.get(slashed), bytes_of("v"));
+  ASSERT_TRUE(reopened.get(nul_key).has_value());
+  EXPECT_TRUE(reopened.get(nul_key)->empty());
+  EXPECT_EQ(reopened.get(nul_prefix), bytes_of("short"));
+  const std::vector<std::string> expect_keys{slashed, nul_prefix, nul_key};
+  EXPECT_EQ(reopened.keys_with_prefix("a/"), expect_keys);
+  EXPECT_EQ(reopened.keys_with_prefix(nul_key),
+            std::vector<std::string>{nul_key});
+  EXPECT_EQ(reopened.footprint_bytes(),
+            slashed.size() + 1 + nul_key.size() + nul_prefix.size() + 5);
+}
+
+TEST(SegLog, ConcurrentPutsShareOneFlush) {
   TempDir dir;
   constexpr int kThreads = 4;
   constexpr int kPutsEach = 50;
   {
-    SegmentedLogStorage s(cfg_at(dir.path(), SyncMode::kGroupCommit));
-    std::vector<std::thread> proposers;
+    SegmentedLogStorage s(cfg_at(dir.path()));
+    std::vector<std::thread> loggers;
     for (int t = 0; t < kThreads; ++t) {
-      proposers.emplace_back([&s, t] {
+      loggers.emplace_back([&s, t] {
         for (int i = 0; i < kPutsEach; ++i) {
           s.put("p" + std::to_string(t) + "/" + std::to_string(i),
                 bytes_of("proposal"));
         }
       });
     }
-    for (auto& th : proposers) th.join();
+    for (auto& th : loggers) th.join();
+    s.flush();
     const auto& st = s.seg_stats();
     EXPECT_EQ(st.appends, static_cast<std::uint64_t>(kThreads * kPutsEach));
-    // The whole point: far fewer fdatasyncs than durable puts. With 4
-    // concurrent proposers every sync in flight lets the others pile onto
-    // the next one; even allowing scheduler worst cases this stays below
-    // one sync per put.
-    EXPECT_LT(st.fsyncs, st.appends);
-    EXPECT_GT(st.group_commits, 0u);
+    // One barrier covers every logger's records: one fdatasync in all.
+    EXPECT_EQ(st.fsyncs, 1u);
+    EXPECT_EQ(st.group_commits, st.appends - 1);
   }
-  SegmentedLogStorage reopened(cfg_at(dir.path(), SyncMode::kGroupCommit));
+  SegmentedLogStorage reopened(cfg_at(dir.path()));
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(reopened.keys_with_prefix("p" + std::to_string(t) + "/").size(),
               static_cast<std::size_t>(kPutsEach));
@@ -236,14 +260,14 @@ TEST(SegLog, DeferredModeSyncsOnlyAtFlush) {
 
 // The oracle sweep: the same op sequence, the same seeded FaultyStorage
 // decorator, the same armed crash-point — run over the segmented log and
-// over the file-per-record backend. Both must crash at the same op, and
-// after reopening from disk both must hold byte-identical record maps.
-// 100 seeds × 3 crash phases exercises before-op, torn-write, and after-op
-// windows across puts, overwrites, and erases.
-TEST(SegLog, CrashPointSweepRecoversIdenticallyToFileBackend) {
+// over an in-memory reference. Both must crash at the same op, and after
+// the segmented log reopens from disk alone it must hold a record map
+// byte-identical to the reference's. Each op is followed by the host's
+// flush barrier. 100 seeds × 3 crash phases exercises before-op,
+// torn-write, and after-op windows across puts, overwrites, and erases.
+TEST(SegLog, CrashPointSweepRecoversIdenticallyToMemReference) {
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     TempDir seg_dir;
-    TempDir file_dir;
     // Script the op sequence up front (so both backends replay it
     // identically) from a generator the fault RNG never touches.
     Rng script(seed * 2654435761ull + 17);
@@ -268,53 +292,46 @@ TEST(SegLog, CrashPointSweepRecoversIdenticallyToFileBackend) {
       ops.push_back(std::move(op));
     }
 
+    FaultyStorage mem(std::make_unique<MemStableStorage>(),
+                      Rng(seed + 1));  // same fault stream: identical tears
     {
-      FaultyStorage seg(std::make_unique<SegmentedLogStorage>(
-                            cfg_at(seg_dir.path(), SyncMode::kEachPut)),
-                        Rng(seed + 1));
-      FaultyStorage file(
-          std::make_unique<FileStableStorage>(file_dir.path(), false),
-          Rng(seed + 1));  // same fault stream: identical torn writes
+      FaultyStorage seg(
+          std::make_unique<SegmentedLogStorage>(cfg_at(seg_dir.path())),
+          Rng(seed + 1));
       seg.arm_crash_at_op(static_cast<std::uint64_t>(crash_at), phase);
-      file.arm_crash_at_op(static_cast<std::uint64_t>(crash_at), phase);
+      mem.arm_crash_at_op(static_cast<std::uint64_t>(crash_at), phase);
 
+      const auto apply = [](FaultyStorage& s, const Op& op) {
+        try {
+          if (op.is_erase) {
+            s.erase(op.key);
+          } else {
+            s.put(op.key, op.value);
+          }
+          s.flush();
+        } catch (const SimulatedCrash&) {
+          return true;
+        }
+        return false;
+      };
       for (const auto& op : ops) {
-        bool seg_crashed = false;
-        bool file_crashed = false;
-        try {
-          if (op.is_erase) {
-            seg.erase(op.key);
-          } else {
-            seg.put(op.key, op.value);
-          }
-        } catch (const SimulatedCrash&) {
-          seg_crashed = true;
-        }
-        try {
-          if (op.is_erase) {
-            file.erase(op.key);
-          } else {
-            file.put(op.key, op.value);
-          }
-        } catch (const SimulatedCrash&) {
-          file_crashed = true;
-        }
-        ASSERT_EQ(seg_crashed, file_crashed) << "seed " << seed;
+        const bool seg_crashed = apply(seg, op);
+        const bool mem_crashed = apply(mem, op);
+        ASSERT_EQ(seg_crashed, mem_crashed) << "seed " << seed;
         if (seg_crashed) break;
       }
     }
 
-    // "Recover": reopen both from their on-disk state alone.
-    SegmentedLogStorage seg(cfg_at(seg_dir.path(), SyncMode::kEachPut));
-    FileStableStorage file(file_dir.path(), false);
-    ASSERT_EQ(dump(seg), dump(file))
+    // "Recover": reopen the segmented log from its on-disk state alone.
+    SegmentedLogStorage seg(cfg_at(seg_dir.path()));
+    ASSERT_EQ(dump(seg), dump(mem.inner()))
         << "recovery divergence at seed " << seed << " phase "
         << static_cast<int>(phase) << " crash_at " << crash_at;
   }
 }
 
 // ScopedStorage/FaultyStorage/TracingStorage forward the flush barrier all
-// the way down to the backend (the group-commit soundness chain).
+// the way down to the backend (the soundness chain of DESIGN.md §16).
 TEST(SegLog, FlushForwardsThroughDecoratorChain) {
   TempDir dir;
   FaultyStorage faulty(std::make_unique<SegmentedLogStorage>(

@@ -1,43 +1,21 @@
-// Unit tests for the stable-storage implementations: in-memory, file-backed
-// (crash-atomicity, CRC), scoped views, and the discard baseline.
+// Unit tests for the stable-storage implementations: in-memory, scoped
+// views, the discard baseline, sealed records, fault injection and the
+// durable counter. The on-disk backend has its own suite
+// (seglog_storage_test.cpp).
 #include <gtest/gtest.h>
-
-#include <filesystem>
-#include <fstream>
 
 #include "storage/discard_storage.hpp"
 #include "storage/durable_counter.hpp"
 #include "storage/faulty_storage.hpp"
-#include "storage/file_storage.hpp"
 #include "storage/mem_storage.hpp"
 #include "storage/scoped_storage.hpp"
 #include "storage/sealed_record.hpp"
 
 using namespace abcast;
-namespace fs = std::filesystem;
 
 namespace {
 
 Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
-
-class TempDir {
- public:
-  TempDir() {
-    path_ = fs::temp_directory_path() /
-            ("abcast_test_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter_++));
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const fs::path& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  fs::path path_;
-};
 
 }  // namespace
 
@@ -113,117 +91,6 @@ TEST(MemStorage, ResetClearsEverything) {
   EXPECT_TRUE(s.by_scope().empty());
 }
 
-// ------------------------------------------------------------ FileStorage
-
-TEST(FileStorage, PersistsAcrossInstances) {
-  TempDir dir;
-  {
-    FileStableStorage s(dir.path());
-    s.put("cons/prop/1", bytes_of("hello"));
-    s.put("ab/ckpt", bytes_of("world"));
-  }
-  FileStableStorage s2(dir.path());
-  EXPECT_EQ(s2.get("cons/prop/1"), bytes_of("hello"));
-  EXPECT_EQ(s2.get("ab/ckpt"), bytes_of("world"));
-}
-
-TEST(FileStorage, OverwriteIsAtomicReplacement) {
-  TempDir dir;
-  FileStableStorage s(dir.path());
-  s.put("k", bytes_of("old"));
-  s.put("k", bytes_of("new"));
-  EXPECT_EQ(s.get("k"), bytes_of("new"));
-  // Exactly one live record file.
-  EXPECT_EQ(s.keys_with_prefix("").size(), 1u);
-}
-
-TEST(FileStorage, KeyEscapingRoundTripsHostileKeys) {
-  TempDir dir;
-  FileStableStorage s(dir.path());
-  const std::string key = "a/b c%d\xE2\x82\xAC!";
-  s.put(key, bytes_of("v"));
-  EXPECT_EQ(s.get(key), bytes_of("v"));
-  const auto keys = s.keys_with_prefix("a/");
-  ASSERT_EQ(keys.size(), 1u);
-  EXPECT_EQ(keys[0], key);
-}
-
-TEST(FileStorage, DetectsCorruptedRecord) {
-  TempDir dir;
-  FileStableStorage s(dir.path());
-  s.put("victim", bytes_of("important data"));
-  // Flip a byte in the stored file.
-  fs::path file;
-  for (const auto& e : fs::directory_iterator(dir.path())) file = e.path();
-  {
-    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(6);
-    char c;
-    f.seekg(6);
-    f.get(c);
-    f.seekp(6);
-    f.put(static_cast<char>(c ^ 0x40));
-  }
-  FileStableStorage s2(dir.path());
-  EXPECT_FALSE(s2.get("victim").has_value());
-  EXPECT_EQ(s2.corrupt_records(), 1u);
-}
-
-TEST(FileStorage, DetectsTruncatedRecord) {
-  TempDir dir;
-  FileStableStorage s(dir.path());
-  s.put("victim", bytes_of("0123456789abcdef"));
-  fs::path file;
-  for (const auto& e : fs::directory_iterator(dir.path())) file = e.path();
-  fs::resize_file(file, fs::file_size(file) - 5);
-  FileStableStorage s2(dir.path());
-  EXPECT_FALSE(s2.get("victim").has_value());
-  EXPECT_GE(s2.corrupt_records(), 1u);
-}
-
-TEST(FileStorage, CleansLeftoverTempFiles) {
-  TempDir dir;
-  {
-    FileStableStorage s(dir.path());
-    s.put("good", bytes_of("v"));
-  }
-  // Simulate a crash mid-put: a stray temp file.
-  std::ofstream(dir.path() / "good.99.tmp") << "partial garbage";
-  FileStableStorage s2(dir.path());
-  EXPECT_EQ(s2.get("good"), bytes_of("v"));
-  for (const auto& e : fs::directory_iterator(dir.path())) {
-    EXPECT_NE(e.path().extension(), ".tmp");
-  }
-}
-
-TEST(FileStorage, EraseRemovesRecord) {
-  TempDir dir;
-  FileStableStorage s(dir.path());
-  s.put("k", bytes_of("v"));
-  s.erase("k");
-  EXPECT_FALSE(s.get("k").has_value());
-  EXPECT_TRUE(s.keys_with_prefix("").empty());
-  s.erase("never-existed");  // no-op
-}
-
-TEST(FileStorage, FootprintReflectsFiles) {
-  TempDir dir;
-  FileStableStorage s(dir.path());
-  EXPECT_EQ(s.footprint_bytes(), 0u);
-  s.put("k", Bytes(100, 7));
-  EXPECT_GT(s.footprint_bytes(), 100u);
-}
-
-TEST(FileStorage, MismatchedKeyInRecordReadsAsAbsent) {
-  TempDir dir;
-  FileStableStorage s(dir.path());
-  s.put("alpha", bytes_of("v"));
-  // Copy alpha's record file to a different key's filename.
-  fs::copy_file(dir.path() / "alpha", dir.path() / "beta");
-  EXPECT_FALSE(s.get("beta").has_value());
-  EXPECT_EQ(s.corrupt_records(), 1u);
-}
-
 // ----------------------------------------------------------- ScopedStorage
 
 TEST(ScopedStorage, PrefixesKeysAndStripsOnEnumeration) {
@@ -284,64 +151,6 @@ TEST(DiscardStorage, StoresNothingButCounts) {
   EXPECT_EQ(s.footprint_bytes(), 0u);
   EXPECT_EQ(s.stats().put_ops, 1u);
   EXPECT_EQ(s.stats().bytes_written, 2u);
-}
-
-// ------------------------------------------- FileStorage corruption paths
-
-TEST(FileStorage, DetectsBadMagic) {
-  TempDir dir;
-  FileStableStorage s(dir.path());
-  s.put("victim", bytes_of("payload"));
-  fs::path file;
-  for (const auto& e : fs::directory_iterator(dir.path())) file = e.path();
-  {
-    // Stomp the 4-byte magic at the head of the record.
-    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
-    f.write("????", 4);
-  }
-  FileStableStorage s2(dir.path());
-  EXPECT_FALSE(s2.get("victim").has_value());
-  EXPECT_EQ(s2.corrupt_records(), 1u);
-}
-
-TEST(FileStorage, DetectsBadCrcTrailer) {
-  TempDir dir;
-  FileStableStorage s(dir.path());
-  s.put("victim", bytes_of("payload"));
-  fs::path file;
-  for (const auto& e : fs::directory_iterator(dir.path())) file = e.path();
-  {
-    // Flip a bit in the trailing CRC itself — content intact, seal broken.
-    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(-1, std::ios::end);
-    char c;
-    f.get(c);
-    f.seekp(-1, std::ios::end);
-    f.put(static_cast<char>(c ^ 0x01));
-  }
-  FileStableStorage s2(dir.path());
-  EXPECT_FALSE(s2.get("victim").has_value());
-  EXPECT_EQ(s2.corrupt_records(), 1u);
-}
-
-TEST(FileStorage, StaleTmpFromCrashBeforeRenameLosesToOldValue) {
-  // A crash between writing <key>.<n>.tmp and the rename must leave the old
-  // record in force, even though the tmp file holds a fully valid record of
-  // the NEW value.
-  TempDir dir;
-  {
-    FileStableStorage s(dir.path());
-    s.put("k", bytes_of("new-value"));
-    // Capture a valid record of the new value as a stray tmp...
-    fs::copy_file(dir.path() / "k", dir.path() / "k.7.tmp");
-    // ...and restore the old value as the live record.
-    s.put("k", bytes_of("old-value"));
-  }
-  FileStableStorage s2(dir.path());
-  EXPECT_EQ(s2.get("k"), bytes_of("old-value"));
-  for (const auto& e : fs::directory_iterator(dir.path())) {
-    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
-  }
 }
 
 // ------------------------------------------------------------ SealedRecord
